@@ -10,139 +10,44 @@ angle lattices, and a JSON/CSV command line.
 
 Everything is deterministic: random model generation is seeded, and no
 evaluation path depends on iteration order or hashing.
+
+The names below are the documented library surface; everything else is
+reachable through its module (belllab.inequalities, belllab.search, ...).
 """
 
 from .errors import NumericsError
-from .geometry import (
-    Direction,
-    DotProductConfig,
-    gram_eigenvalues,
-    gram_of,
-    planar,
-    realizability_report,
-    realizable,
-)
+from .geometry import gram_of, planar, realizability_report
 from .inequalities import (
     INEQUALITY_IDS,
     VIOLATION_TOL,
     CorrelationProfile,
     InequalityVerdict,
-    chsh_terms,
-    chsh_verdict,
-    correlation_combination,
-    dispersion_free_terms,
-    dispersion_free_verdict,
-    epr_closed_form,
-    epr_closed_form_from_dots,
-    epr_correlation_terms,
     epr_profile_from_dots,
-    general_terms,
-    general_verdict,
-    ghz_closed_form,
-    ghz_correlation_terms,
-    ghz_profile_from_angles,
-    make_verdict,
     verdict_for_profile,
 )
-from .lhv import (
-    LhvModel,
-    SchwarzWitness,
-    is_dispersion_free,
-    lhv_covariance,
-    lhv_mean,
-    lhv_profile,
-    lhv_variance,
-    random_model,
-    schwarz_witness,
-)
-from .quantum import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    covariance,
-    epr_observables,
-    epr_profile,
-    epr_state,
-    expectation,
-    ghz_observables,
-    ghz_profile,
-    ghz_state,
-    lift,
-    pauli_dot,
-    variance,
-)
-from .search import (
-    SPACE_KINDS,
-    ParameterSpace,
-    SearchResult,
-    evaluate_point,
-    grid_search,
-    parameter_space,
-    refine,
-    sweep,
-)
+from .lhv import lhv_profile, random_model
+from .quantum import epr_profile, ghz_profile
+from .search import grid_search, parameter_space, refine
 
 __version__ = "0.1.0"
 
 __all__ = [
     "NumericsError",
-    "Direction",
-    "DotProductConfig",
-    "gram_eigenvalues",
     "gram_of",
     "planar",
     "realizability_report",
-    "realizable",
     "INEQUALITY_IDS",
     "VIOLATION_TOL",
     "CorrelationProfile",
     "InequalityVerdict",
-    "chsh_terms",
-    "chsh_verdict",
-    "correlation_combination",
-    "dispersion_free_terms",
-    "dispersion_free_verdict",
-    "epr_closed_form",
-    "epr_closed_form_from_dots",
-    "epr_correlation_terms",
     "epr_profile_from_dots",
-    "general_terms",
-    "general_verdict",
-    "ghz_closed_form",
-    "ghz_correlation_terms",
-    "ghz_profile_from_angles",
-    "make_verdict",
     "verdict_for_profile",
-    "LhvModel",
-    "SchwarzWitness",
-    "is_dispersion_free",
-    "lhv_covariance",
-    "lhv_mean",
     "lhv_profile",
-    "lhv_variance",
     "random_model",
-    "schwarz_witness",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "covariance",
-    "epr_observables",
     "epr_profile",
-    "epr_state",
-    "expectation",
-    "ghz_observables",
     "ghz_profile",
-    "ghz_state",
-    "lift",
-    "pauli_dot",
-    "variance",
-    "SPACE_KINDS",
-    "ParameterSpace",
-    "SearchResult",
-    "evaluate_point",
     "grid_search",
     "parameter_space",
     "refine",
-    "sweep",
     "__version__",
 ]

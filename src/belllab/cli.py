@@ -21,6 +21,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -35,7 +36,9 @@ from .inequalities import (
     INEQUALITY_IDS,
     VIOLATION_TOL,
     CorrelationProfile,
+    correlation_combination,
     epr_profile_from_dots,
+    inequality_kernel,
     verdict_for_profile,
 )
 from .lhv import LhvModel, lhv_profile, random_model
@@ -187,9 +190,7 @@ def _validate_scenario(data) -> None:
             f"scenario inequality must be one of {INEQUALITY_IDS}, got {data['inequality']!r}"
         )
     if "tolerance" in data:
-        tol = data["tolerance"]
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
-            raise ValueError("scenario tolerance must be a positive number")
+        _checked_tolerance(data["tolerance"], "scenario tolerance")
     block = data[kind]
     if not isinstance(block, dict):
         raise ValueError(f"the {kind!r} parameter block must be a JSON object")
@@ -232,11 +233,7 @@ def _inequality_for_scenario(data: dict, override: str | None) -> str:
     inequality_id = override or data.get("inequality")
     if inequality_id is None:
         raise ValueError("no inequality requested: set it in the scenario or pass --inequality")
-    kind = data["kind"]
-    if inequality_id.startswith("epr_") and kind != "epr":
-        raise ValueError(f"inequality {inequality_id!r} applies to kind epr, not {kind!r}")
-    if inequality_id.startswith("ghz_") and kind != "ghz":
-        raise ValueError(f"inequality {inequality_id!r} applies to kind ghz, not {kind!r}")
+    inequality_kernel(inequality_id, data["kind"])
     return inequality_id
 
 
@@ -274,7 +271,8 @@ def _scenario_profile(data: dict) -> tuple[CorrelationProfile, dict | None, dict
 
 
 def _json_text(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    # every number in a report is finite by construction; refuse to print one that is not
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_evaluate(args) -> tuple[str, int]:
@@ -343,11 +341,15 @@ def _reproduce_ghz(tolerance: float) -> dict:
     profile = ghz_profile(*rads)
     df = verdict_for_profile(profile, "ghz_dispersion_free", tolerance)
     general = verdict_for_profile(profile, "ghz_general", tolerance)
-    # the variant groups the combination as (A+B) with (C-D); both groupings
-    # are reported so the published reading stays inspectable
-    variant_combination = profile.e_ac - profile.e_ad + profile.e_bc - profile.e_bd
-    variant_df_lhs = variant_combination * variant_combination + 4.0 * profile.e_ab * profile.e_cd
-    variant_general_lhs = variant_combination * variant_combination
+    # the variant groups the combination as (A+B) with (C-D), which flips the
+    # signs of E(A,D) and E(B,C); both groupings are reported so the published
+    # reading stays inspectable
+    variant = dataclasses.replace(profile, e_ad=-profile.e_ad, e_bc=-profile.e_bc)
+    variant_verdicts = {}
+    for inequality_id in ("dispersion_free", "general"):
+        verdict = verdict_for_profile(variant, inequality_id, tolerance).as_dict()
+        del verdict["inequality"]
+        variant_verdicts[inequality_id] = verdict
     return {
         "command": "reproduce",
         "target": "ghz",
@@ -358,19 +360,10 @@ def _reproduce_ghz(tolerance: float) -> dict:
         "verdicts": [df.as_dict(), general.as_dict()],
         "sign_variant": {
             "note": "correlation combination grouped as (A+B),(C-D) instead of (A-B),(C+D)",
-            "combination": variant_combination,
-            "dispersion_free": {
-                "lhs": variant_df_lhs,
-                "rhs": 0.0,
-                "margin": variant_df_lhs,
-                "violated": bool(variant_df_lhs > tolerance),
-            },
-            "general": {
-                "lhs": variant_general_lhs,
-                "rhs": general.rhs,
-                "margin": variant_general_lhs - general.rhs,
-                "violated": bool(variant_general_lhs - general.rhs > tolerance),
-            },
+            "combination": correlation_combination(
+                variant.e_ac, variant.e_ad, variant.e_bc, variant.e_bd
+            ),
+            **variant_verdicts,
         },
         "discrepancies": [
             {
@@ -521,13 +514,23 @@ def cmd_sweep(args) -> tuple[str, int]:
     return _json_text(report), EXIT_OK
 
 
+def _checked_tolerance(value, source: str) -> float:
+    """A tolerance must be a finite positive number: an infinite one hides every violation."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        # also refuses nan and any int too large for a float
+        or not 0.0 < value <= sys.float_info.max
+    ):
+        raise ValueError(f"{source} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 def _effective_tolerance(flag_value: float | None, scenario_value) -> float:
     if flag_value is not None:
-        if not flag_value > 0.0:
-            raise ValueError("--tolerance must be positive")
-        return float(flag_value)
+        return _checked_tolerance(flag_value, "--tolerance")
     if scenario_value is not None:
-        return float(scenario_value)
+        return float(scenario_value)  # checked when the scenario was loaded
     return VIOLATION_TOL
 
 

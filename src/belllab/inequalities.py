@@ -14,35 +14,27 @@ and the dispersion-free form is its zero-variance specialization
 
     combination^2 + 4 E(A,B) E(C,D) <= 0.
 
-The term kernels accept scalars or numpy arrays so searches can evaluate
-whole lattices in one shot with identical arithmetic.
+The term kernels share one signature and accept scalars or numpy arrays, so
+searches evaluate whole lattices in one shot with identical arithmetic.  The
+INEQUALITIES registry is the one place an inequality id is interpreted: it
+maps each id to its kernel and to the state family the id requires.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import Direction, DotProductConfig, gram_of
-
-INEQUALITY_IDS = (
-    "general",
-    "dispersion_free",
-    "epr_general",
-    "epr_dispersion_free",
-    "ghz_general",
-    "ghz_dispersion_free",
-    "chsh",
-)
+from .errors import NumericsError
+from .geometry import DotProductConfig
 
 #: A verdict is "violated" only when margin exceeds this, so roundoff at a
 #: saturated bound never reads as a violation.
 VIOLATION_TOL = 1e-9
 
 VARIANCE_TOL = 1e-12
-
-_CLOSED_FORM_MODES = ("general", "dispersion_free")
 
 
 @dataclass(frozen=True)
@@ -100,11 +92,15 @@ class InequalityVerdict:
 def make_verdict(
     inequality_id: str, lhs: float, rhs: float, tolerance: float = VIOLATION_TOL
 ) -> InequalityVerdict:
-    if inequality_id not in INEQUALITY_IDS:
-        raise ValueError(f"unknown inequality id {inequality_id!r}, expected one of {INEQUALITY_IDS}")
+    inequality_kernel(inequality_id)  # rejects an unknown id
     lhs = float(lhs)
     rhs = float(rhs)
     margin = lhs - rhs
+    # a non-finite side always leaves a non-finite margin, and so does overflow
+    if not math.isfinite(margin):
+        raise NumericsError(
+            f"inequality {inequality_id!r} has no finite margin: lhs {lhs!r}, rhs {rhs!r}"
+        )
     return InequalityVerdict(inequality_id, lhs, rhs, margin, bool(margin > tolerance))
 
 
@@ -124,16 +120,22 @@ def general_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a=1.0, var_b=1.0, var_
     return lhs, rhs
 
 
-def dispersion_free_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd):
-    """lhs of the dispersion-free bound; rhs is identically zero."""
+def dispersion_free_terms(
+    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a=1.0, var_b=1.0, var_c=1.0, var_d=1.0
+):
+    """lhs of the dispersion-free bound; rhs is identically zero and variances are unused."""
     combination = correlation_combination(e_ac, e_ad, e_bc, e_bd)
     lhs = combination * combination + 4.0 * e_ab * e_cd
     # squared term keeps the zero rhs at +0.0 for any sign of the combination
     return lhs, combination * combination * 0.0
 
 
-def chsh_terms(e_ac, e_ad, e_bc, e_bd):
-    """CHSH with the +++- sign convention: |eAC + eAD + eBC - eBD| against 2."""
+def chsh_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a=1.0, var_b=1.0, var_c=1.0, var_d=1.0):
+    """CHSH with the +++- sign convention: |eAC + eAD + eBC - eBD| against 2.
+
+    Only the four cross correlations enter; the rest of the signature is
+    shared with the other kernels.
+    """
     lhs = abs(e_ac + e_ad + e_bc - e_bd)
     return lhs, lhs * 0.0 + 2.0
 
@@ -155,15 +157,47 @@ def ghz_correlation_terms(alpha, beta, gamma, delta):
 
 
 # ---------------------------------------------------------------------------
-# Profile-level verdicts.
+# The registry: inequality id -> (term kernel, required state family).  A
+# family of None admits any profile; prefixed ids share the generic kernels
+# and differ only in the family they admit and the label their verdicts carry.
+
+INEQUALITIES = {
+    "general": (general_terms, None),
+    "dispersion_free": (dispersion_free_terms, None),
+    "epr_general": (general_terms, "epr"),
+    "epr_dispersion_free": (dispersion_free_terms, "epr"),
+    "ghz_general": (general_terms, "ghz"),
+    "ghz_dispersion_free": (dispersion_free_terms, "ghz"),
+    "chsh": (chsh_terms, None),
+}
+
+INEQUALITY_IDS = tuple(INEQUALITIES)
 
 
-def general_verdict(
+def inequality_kernel(inequality_id: str, family: str | None = None):
+    """Term kernel of an inequality id, refusing an id that requires another family.
+
+    family names where the correlations come from: "epr" (the singlet),
+    "ghz" (the four-spin state) or another scenario kind such as "profile"
+    or "lhv".  None skips the family check, for callers holding only a
+    profile, which does not record its source.
+    """
+    entry = INEQUALITIES.get(inequality_id)
+    if entry is None:
+        raise ValueError(f"unknown inequality id {inequality_id!r}, expected one of {INEQUALITY_IDS}")
+    kernel, required = entry
+    if family is not None and required not in (None, family):
+        raise ValueError(f"inequality {inequality_id!r} applies to {required} states, not {family!r}")
+    return kernel
+
+
+def verdict_for_profile(
     profile: CorrelationProfile,
+    inequality_id: str,
     tolerance: float = VIOLATION_TOL,
-    inequality_id: str = "general",
 ) -> InequalityVerdict:
-    lhs, rhs = general_terms(
+    """Evaluate any known inequality id on a profile, labelled with that id."""
+    lhs, rhs = inequality_kernel(inequality_id)(
         profile.e_ac,
         profile.e_ad,
         profile.e_bc,
@@ -176,46 +210,6 @@ def general_verdict(
         profile.var_d,
     )
     return make_verdict(inequality_id, lhs, rhs, tolerance)
-
-
-def dispersion_free_verdict(
-    profile: CorrelationProfile,
-    tolerance: float = VIOLATION_TOL,
-    inequality_id: str = "dispersion_free",
-) -> InequalityVerdict:
-    lhs, rhs = dispersion_free_terms(
-        profile.e_ac, profile.e_ad, profile.e_bc, profile.e_bd, profile.e_ab, profile.e_cd
-    )
-    return make_verdict(inequality_id, lhs, rhs, tolerance)
-
-
-def chsh_verdict(
-    profile: CorrelationProfile,
-    tolerance: float = VIOLATION_TOL,
-    inequality_id: str = "chsh",
-) -> InequalityVerdict:
-    lhs, rhs = chsh_terms(profile.e_ac, profile.e_ad, profile.e_bc, profile.e_bd)
-    return make_verdict(inequality_id, lhs, rhs, tolerance)
-
-
-def verdict_for_profile(
-    profile: CorrelationProfile,
-    inequality_id: str,
-    tolerance: float = VIOLATION_TOL,
-) -> InequalityVerdict:
-    """Evaluate any known inequality id on a profile.
-
-    The id picks the formula family: chsh, the dispersion-free form, or the
-    general variance-weighted form.  Prefixed ids keep their label in the
-    verdict but share the generic formulas.
-    """
-    if inequality_id not in INEQUALITY_IDS:
-        raise ValueError(f"inequality must be one of {INEQUALITY_IDS}, got {inequality_id!r}")
-    if inequality_id == "chsh":
-        return chsh_verdict(profile, tolerance)
-    if inequality_id.endswith("dispersion_free"):
-        return dispersion_free_verdict(profile, tolerance, inequality_id)
-    return general_verdict(profile, tolerance, inequality_id)
 
 
 # ---------------------------------------------------------------------------
@@ -237,51 +231,3 @@ def ghz_profile_from_angles(
     """Four-spin pair-product profile at planar angles (radians); all variances are 1."""
     e_ac, e_ad, e_bc, e_bd, e_ab, e_cd = ghz_correlation_terms(alpha, beta, gamma, delta)
     return CorrelationProfile(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, 1.0, 1.0, 1.0, 1.0)
-
-
-def _closed_form_ids(family: str, mode: str) -> str:
-    if mode not in _CLOSED_FORM_MODES:
-        raise ValueError(f"mode must be one of {_CLOSED_FORM_MODES}, got {mode!r}")
-    return f"{family}_{mode}"
-
-
-def epr_closed_form_from_dots(
-    dots: DotProductConfig, mode: str, tolerance: float = VIOLATION_TOL
-) -> InequalityVerdict:
-    """Evaluate the singlet inequality directly from six dot products.
-
-    mode "dispersion_free": (ac + ad - bc - bd)^2 + 4 ab cd <= 0.
-    mode "general":         (ac + ad - bc - bd)^2 <= 4 (1 - ab)(1 + cd).
-    """
-    inequality_id = _closed_form_ids("epr", mode)
-    profile = epr_profile_from_dots(dots)
-    if mode == "general":
-        return general_verdict(profile, tolerance, inequality_id)
-    return dispersion_free_verdict(profile, tolerance, inequality_id)
-
-
-def epr_closed_form(
-    a: Direction,
-    b: Direction,
-    c: Direction,
-    d: Direction,
-    mode: str,
-    tolerance: float = VIOLATION_TOL,
-) -> InequalityVerdict:
-    return epr_closed_form_from_dots(gram_of(a, b, c, d), mode, tolerance)
-
-
-def ghz_closed_form(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    delta: float,
-    mode: str,
-    tolerance: float = VIOLATION_TOL,
-) -> InequalityVerdict:
-    """Evaluate the four-spin inequality from planar angles (radians)."""
-    inequality_id = _closed_form_ids("ghz", mode)
-    profile = ghz_profile_from_angles(alpha, beta, gamma, delta)
-    if mode == "general":
-        return general_verdict(profile, tolerance, inequality_id)
-    return dispersion_free_verdict(profile, tolerance, inequality_id)

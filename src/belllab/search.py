@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inequalities
-from .inequalities import INEQUALITY_IDS, VIOLATION_TOL, InequalityVerdict, make_verdict
+from .inequalities import VIOLATION_TOL, InequalityVerdict, inequality_kernel, make_verdict
 
 SPACE_KINDS = ("planar_epr", "ghz_angles", "vectors3d")
 
@@ -35,16 +35,6 @@ TWO_PI = 2.0 * math.pi
 #: Largest trailing block materialized during a grid scan; a pure
 #: performance knob, results do not depend on it.
 DEFAULT_BLOCK_SIZE = 262144
-
-_MODE_BY_ID = {
-    "general": "general",
-    "epr_general": "general",
-    "ghz_general": "general",
-    "dispersion_free": "dispersion_free",
-    "epr_dispersion_free": "dispersion_free",
-    "ghz_dispersion_free": "dispersion_free",
-    "chsh": "chsh",
-}
 
 
 @dataclass(frozen=True)
@@ -147,23 +137,13 @@ def _correlations(kind: str, coords):
     return inequalities.epr_correlation_terms(*dots)
 
 
-def _check_compatible(inequality_id: str, kind: str) -> None:
-    if inequality_id not in INEQUALITY_IDS:
-        raise ValueError(f"unknown inequality id {inequality_id!r}, expected one of {INEQUALITY_IDS}")
-    if inequality_id.startswith("epr_") and kind == "ghz_angles":
-        raise ValueError(f"inequality {inequality_id!r} needs a singlet space, not {kind!r}")
-    if inequality_id.startswith("ghz_") and kind != "ghz_angles":
-        raise ValueError(f"inequality {inequality_id!r} needs the ghz_angles space, not {kind!r}")
+def _kernel(inequality_id: str, space: ParameterSpace):
+    """Registry kernel for an id, checked against the state family the space models.
 
-
-def _terms(inequality_id: str, kind: str, coords):
-    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd = _correlations(kind, coords)
-    mode = _MODE_BY_ID[inequality_id]
-    if mode == "general":
-        return inequalities.general_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd)
-    if mode == "dispersion_free":
-        return inequalities.dispersion_free_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd)
-    return inequalities.chsh_terms(e_ac, e_ad, e_bc, e_bd)
+    Kernels run on the six correlations alone: their default unit variances
+    hold because every spin and pair-product observable squares to one.
+    """
+    return inequality_kernel(inequality_id, "ghz" if space.kind == "ghz_angles" else "epr")
 
 
 def evaluate_point(
@@ -173,11 +153,11 @@ def evaluate_point(
     tolerance: float = VIOLATION_TOL,
 ) -> InequalityVerdict:
     """Evaluate one parameter point with the same arithmetic the lattice scan uses."""
-    _check_compatible(inequality_id, space.kind)
+    kernel = _kernel(inequality_id, space)
     coords = tuple(float(v) for v in coords)
     if len(coords) != space.n_coords:
         raise ValueError(f"expected {space.n_coords} coordinates, got {len(coords)}")
-    lhs, rhs = _terms(inequality_id, space.kind, coords)
+    lhs, rhs = kernel(*_correlations(space.kind, coords))
     return make_verdict(inequality_id, float(lhs), float(rhs), tolerance)
 
 
@@ -210,7 +190,7 @@ def grid_search(
     vector: the lattice is scanned in lexicographic order and only strict
     improvements replace the incumbent, so blocking cannot change the result.
     """
-    _check_compatible(inequality_id, space.kind)
+    kernel = _kernel(inequality_id, space)
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
     if block_size < 1:
@@ -241,7 +221,7 @@ def grid_search(
     for prefix in itertools.product(*axes[:split]):
         if tail_flat:
             coords = tuple(float(v) for v in prefix) + tail_flat
-            lhs, rhs = _terms(inequality_id, space.kind, coords)
+            lhs, rhs = kernel(*_correlations(space.kind, coords))
             margin = lhs - rhs
             index = int(np.argmax(margin))
             candidate = float(margin[index])
@@ -253,7 +233,7 @@ def grid_search(
                 )
         else:
             coords = tuple(float(v) for v in prefix)
-            lhs, rhs = _terms(inequality_id, space.kind, coords)
+            lhs, rhs = kernel(*_correlations(space.kind, coords))
             candidate = float(lhs - rhs)
             if candidate > best_margin:
                 best_margin = candidate
@@ -297,7 +277,6 @@ def refine(
     below min_step; a starting step not above min_step returns the start
     unchanged.  The accepted-margin trace is monotone by construction.
     """
-    _check_compatible(inequality_id, space.kind)
     if not (0.0 < shrink < 1.0):
         raise ValueError("shrink must lie strictly between 0 and 1")
     if not initial_step > 0.0 or not min_step > 0.0:
@@ -351,7 +330,7 @@ def sweep(
 
     Returns (coordinate, lhs, rhs, margin) rows in sweep order, steps of them.
     """
-    _check_compatible(inequality_id, space.kind)
+    kernel = _kernel(inequality_id, space)
     base = tuple(float(v) for v in base)
     if len(base) != space.n_coords:
         raise ValueError(f"expected {space.n_coords} coordinates, got {len(base)}")
@@ -364,7 +343,7 @@ def sweep(
         raise ValueError(f"invalid sweep interval ({lo!r}, {hi!r})")
     values = np.linspace(lo, hi, steps)
     coords = base[:axis] + (values,) + base[axis + 1 :]
-    lhs, rhs = _terms(inequality_id, space.kind, coords)
+    lhs, rhs = kernel(*_correlations(space.kind, coords))
     margin = lhs - rhs
     return [
         (float(values[i]), float(lhs[i]), float(rhs[i]), float(margin[i]))

@@ -16,10 +16,9 @@ import belllab.cli as cli
 from belllab.geometry import Direction, gram_of
 from belllab.inequalities import (
     CorrelationProfile,
-    chsh_verdict,
     epr_profile_from_dots,
-    general_verdict,
     ghz_profile_from_angles,
+    verdict_for_profile,
 )
 from belllab.lhv import lhv_profile, random_model
 from belllab.quantum import (
@@ -173,7 +172,7 @@ def test_acceptance_07_lhv_universality():
     worst = -math.inf
     ok = True
     for seed in range(10000):
-        margin = general_verdict(lhv_profile(random_model(seed, 8, 5.0))).margin
+        margin = verdict_for_profile(lhv_profile(random_model(seed, 8, 5.0)), "general").margin
         worst = max(worst, margin)
         ok = ok and margin <= 1e-9
     _criterion(
@@ -236,7 +235,7 @@ def test_acceptance_10_chsh_baseline():
             e_ac=a * c, e_ad=a * d, e_bc=b * c, e_bd=b * d, e_ab=a * b, e_cd=c * d,
             var_a=0.0, var_b=0.0, var_c=0.0, var_d=0.0,
         )
-        lhs = chsh_verdict(profile).lhs
+        lhs = verdict_for_profile(profile, "chsh").lhs
         worst = max(worst, lhs)
         classical_ok = classical_ok and lhs <= 2.0
     ok = quantum_ok and classical_ok

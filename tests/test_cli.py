@@ -200,6 +200,50 @@ def test_tolerance_flag_beats_scenario_tolerance(capsys, tmp_path):
     assert json.loads(out)["verdicts"][0]["violated"] is True
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400", "-inf", "0", "-1e-9"])
+def test_tolerance_flag_must_be_finite_and_positive(capsys, value):
+    # an infinite tolerance would report no violation at all
+    code, out, err = run(capsys, "reproduce", "epr", "--tolerance", value)
+    assert code == 1
+    assert out == ""
+    assert "--tolerance" in err
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["1e400", "Infinity", "NaN", "1" + "0" * 400, "0", "true"],
+    ids=["overflow", "infinity", "nan", "huge-int", "zero", "bool"],
+)
+def test_scenario_tolerance_must_be_finite_and_positive(capsys, tmp_path, literal):
+    # written by hand: json.dumps cannot produce an overflowing literal
+    path = tmp_path / "tol.json"
+    path.write_text(
+        '{"kind": "ghz", "inequality": "ghz_dispersion_free", "tolerance": %s, '
+        '"ghz": {"angles_deg": [45, 60, 120, 150]}}' % literal
+    )
+    code, out, err = run(capsys, "evaluate", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert "scenario tolerance" in err
+
+
+def test_overflowing_profile_exits_two_without_a_report(capsys, tmp_path):
+    profile = dict.fromkeys(cli.PROFILE_KEYS, 0.0)
+    profile.update(e_ac=1e308, e_ad=1e308, var_a=1.0, var_b=1.0, var_c=1.0, var_d=1.0)
+    path = write_scenario(
+        tmp_path, "huge.json", {"kind": "profile", "inequality": "general", "profile": profile}
+    )
+    code, out, err = run(capsys, "evaluate", "--scenario", path)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_reports_refuse_non_finite_numbers():
+    with pytest.raises(ValueError):
+        cli._json_text({"lhs": math.inf})
+
+
 def test_scenario_parse_error_reports_line(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "kind": "ghz",\n  broken\n}\n')

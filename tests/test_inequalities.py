@@ -4,24 +4,21 @@ import math
 
 import pytest
 
+from belllab.errors import NumericsError
 from belllab.geometry import DotProductConfig, gram_of, planar
 from belllab.inequalities import (
+    INEQUALITIES,
     INEQUALITY_IDS,
     CorrelationProfile,
     chsh_terms,
-    chsh_verdict,
     correlation_combination,
     dispersion_free_terms,
-    dispersion_free_verdict,
-    epr_closed_form,
-    epr_closed_form_from_dots,
     epr_correlation_terms,
     epr_profile_from_dots,
     general_terms,
-    general_verdict,
-    ghz_closed_form,
     ghz_correlation_terms,
     ghz_profile_from_angles,
+    inequality_kernel,
     make_verdict,
     verdict_for_profile,
 )
@@ -87,7 +84,7 @@ def test_dispersion_free_terms_hand_computed():
 
 def test_chsh_terms_tsirelson_point():
     r = 0.7071067811865476
-    lhs, rhs = chsh_terms(r, r, r, -r)
+    lhs, rhs = chsh_terms(r, r, r, -r, 0.0, 0.0)
     assert lhs == pytest.approx(2.8284271247461903, abs=1e-15)
     assert rhs == 2.0
 
@@ -109,6 +106,29 @@ def test_make_verdict_tolerance_boundary():
 def test_make_verdict_rejects_unknown_id():
     with pytest.raises(ValueError):
         make_verdict("nonsense", 1.0, 0.0, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs",
+    [(math.inf, 16.0), (0.0, math.nan), (math.inf, math.inf), (1e308, -1e308)],
+)
+def test_make_verdict_rejects_non_finite_margin(lhs, rhs):
+    # the last case has finite sides whose difference overflows
+    with pytest.raises(NumericsError):
+        make_verdict("general", lhs, rhs)
+
+
+def test_overflowing_profile_is_a_numerics_error():
+    profile = CorrelationProfile(1e308, 1e308, 0, 0, 0, 0, 1, 1, 1, 1)
+    with pytest.raises(NumericsError):
+        verdict_for_profile(profile, "general")
+
+
+def test_kernels_share_the_profile_signature():
+    # every registry kernel takes the ten profile fields by name, in profile order
+    fields = HAND_PROFILE.as_dict()
+    for kernel, _ in INEQUALITIES.values():
+        assert kernel(**fields) == kernel(*fields.values())
 
 
 def test_verdict_as_dict_keys():
@@ -156,14 +176,14 @@ def test_singlet_perfect_anticorrelation():
 def test_aligned_degenerate_configuration_reaches_twelve():
     # b = -a, c = d = a: comb = -4, lhs = 16 - 4 = 12
     dots = gram_of(*planar([0.0, math.pi, 0.0, 0.0]))
-    verdict = dispersion_free_verdict(epr_profile_from_dots(dots))
+    verdict = verdict_for_profile(epr_profile_from_dots(dots), "dispersion_free")
     assert verdict.lhs == pytest.approx(12.0, abs=1e-12)
     assert verdict.violated is True
 
 
 def test_general_verdict_saturates_at_aligned_configuration():
     dots = gram_of(*planar([0.0, math.pi, 0.0, 0.0]))
-    verdict = general_verdict(epr_profile_from_dots(dots))
+    verdict = verdict_for_profile(epr_profile_from_dots(dots), "general")
     assert verdict.lhs == pytest.approx(16.0, abs=1e-12)
     assert verdict.rhs == pytest.approx(16.0, abs=1e-12)
     assert abs(verdict.margin) <= 1e-12
@@ -177,10 +197,12 @@ def test_verdict_dispatch_covers_every_id():
 
 
 def test_verdict_dispatch_picks_matching_formula():
-    assert verdict_for_profile(HAND_PROFILE, "epr_general").lhs == general_verdict(HAND_PROFILE).lhs
+    fields = HAND_PROFILE.as_dict().values()
+    assert verdict_for_profile(HAND_PROFILE, "epr_general").lhs == general_terms(*fields)[0]
+    assert verdict_for_profile(HAND_PROFILE, "epr_general").rhs == general_terms(*fields)[1]
     assert (
         verdict_for_profile(HAND_PROFILE, "ghz_dispersion_free").lhs
-        == dispersion_free_verdict(HAND_PROFILE).lhs
+        == dispersion_free_terms(*fields)[0]
     )
     assert verdict_for_profile(HAND_PROFILE, "chsh").rhs == 2.0
 
@@ -192,34 +214,50 @@ def test_verdict_dispatch_rejects_unknown_id():
 
 def test_epr_closed_form_ids_and_values():
     dots = DotProductConfig(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-    general = epr_closed_form_from_dots(dots, "general")
-    df = epr_closed_form_from_dots(dots, "dispersion_free")
+    profile = epr_profile_from_dots(dots)
+    general = verdict_for_profile(profile, "epr_general")
+    df = verdict_for_profile(profile, "epr_dispersion_free")
     assert general.inequality_id == "epr_general"
     assert df.inequality_id == "epr_dispersion_free"
-    profile = epr_profile_from_dots(dots)
-    assert general.lhs == general_verdict(profile).lhs
-    assert df.lhs == dispersion_free_verdict(profile).lhs
-    with pytest.raises(ValueError):
-        epr_closed_form_from_dots(dots, "chsh")
+    fields = profile.as_dict().values()
+    assert (general.lhs, general.rhs) == general_terms(*fields)
+    assert (df.lhs, df.rhs) == dispersion_free_terms(*fields)
+    # the singlet ids are refused on any other state family
+    for family in ("ghz", "profile", "lhv"):
+        with pytest.raises(ValueError):
+            inequality_kernel("epr_general", family)
+    assert inequality_kernel("epr_general", "epr") is general_terms
 
 
 def test_epr_closed_form_from_directions():
+    # the singlet forms written out in dot products:
+    #   general:         (ac + ad - bc - bd)^2 <= 4 (1 - ab)(1 + cd)
+    #   dispersion-free: (ac + ad - bc - bd)^2 + 4 ab cd <= 0
     a, b, c, d = planar([0.3, 1.1, 2.0, 2.9])
-    verdict = epr_closed_form(a, b, c, d, "general")
-    expected = general_verdict(epr_profile_from_dots(gram_of(a, b, c, d)))
-    assert verdict.lhs == pytest.approx(expected.lhs, abs=1e-15)
-    assert verdict.rhs == pytest.approx(expected.rhs, abs=1e-15)
+    dots = gram_of(a, b, c, d)
+    profile = epr_profile_from_dots(dots)
+    combination = dots.ac + dots.ad - dots.bc - dots.bd
+    general = verdict_for_profile(profile, "epr_general")
+    assert general.lhs == pytest.approx(combination**2, abs=1e-15)
+    assert general.rhs == pytest.approx(4.0 * (1.0 - dots.ab) * (1.0 + dots.cd), abs=1e-15)
+    df = verdict_for_profile(profile, "epr_dispersion_free")
+    assert df.lhs == pytest.approx(combination**2 + 4.0 * dots.ab * dots.cd, abs=1e-15)
 
 
 def test_ghz_closed_form_ids():
-    v = ghz_closed_form(0.1, 0.2, 0.3, 0.4, "dispersion_free")
+    angles = (0.1, 0.2, 0.3, 0.4)
+    v = verdict_for_profile(ghz_profile_from_angles(*angles), "ghz_dispersion_free")
     assert v.inequality_id == "ghz_dispersion_free"
-    expected = dispersion_free_verdict(ghz_profile_from_angles(0.1, 0.2, 0.3, 0.4))
-    assert v.lhs == pytest.approx(expected.lhs, abs=1e-15)
+    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd = ghz_correlation_terms(*angles)
+    expected = (e_ac + e_ad - e_bc - e_bd) ** 2 + 4.0 * e_ab * e_cd
+    assert v.lhs == pytest.approx(expected, abs=1e-15)
+    assert inequality_kernel("ghz_dispersion_free", "ghz") is dispersion_free_terms
+    with pytest.raises(ValueError):
+        inequality_kernel("ghz_dispersion_free", "epr")
 
 
 def test_chsh_verdict_reads_only_cross_correlations():
-    v = chsh_verdict(HAND_PROFILE)
+    v = verdict_for_profile(HAND_PROFILE, "chsh")
     assert v.lhs == pytest.approx(abs(0.3 - 0.2 + 0.1 - 0.4), abs=1e-15)
     assert v.rhs == 2.0
     assert v.violated is False

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from belllab.inequalities import chsh_verdict, general_verdict
+from belllab.inequalities import verdict_for_profile
 from belllab.lhv import (
     LhvModel,
     is_dispersion_free,
@@ -134,14 +134,14 @@ def test_witness_matches_profile_combination():
 
 def test_no_random_model_violates_general_bound():
     for seed in range(500):
-        verdict = general_verdict(lhv_profile(random_model(seed, 8, 5.0)))
+        verdict = verdict_for_profile(lhv_profile(random_model(seed, 8, 5.0)), "general")
         assert verdict.margin <= 1e-9
         assert not verdict.violated
 
 
 def test_general_bound_holds_for_varied_shapes():
     for seed, n_points, bound in [(1, 1, 0.5), (2, 2, 10.0), (3, 64, 1.0), (4, 257, 20.0)]:
-        verdict = general_verdict(lhv_profile(random_model(seed, n_points, bound)))
+        verdict = verdict_for_profile(lhv_profile(random_model(seed, n_points, bound)), "general")
         assert verdict.margin <= 1e-9
 
 
@@ -203,6 +203,6 @@ def test_mirrored_sign_model_reaches_chsh_bound():
         c=[1.0, -1.0],
         d=[1.0, -1.0],
     )
-    verdict = chsh_verdict(lhv_profile(model))
+    verdict = verdict_for_profile(lhv_profile(model), "chsh")
     assert verdict.lhs == pytest.approx(2.0, abs=1e-15)
     assert not verdict.violated

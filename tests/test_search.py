@@ -8,9 +8,7 @@ import pytest
 
 from belllab.geometry import Direction, gram_of, planar
 from belllab.inequalities import (
-    dispersion_free_verdict,
     epr_profile_from_dots,
-    general_verdict,
     ghz_profile_from_angles,
     verdict_for_profile,
 )
@@ -59,7 +57,7 @@ def test_evaluate_point_matches_profile_route_planar():
 def test_evaluate_point_matches_profile_route_ghz():
     angles = (0.2, 0.9, 1.7, 2.8)
     from_scan = evaluate_point("ghz_general", GHZ, angles)
-    expected = general_verdict(ghz_profile_from_angles(*angles))
+    expected = verdict_for_profile(ghz_profile_from_angles(*angles), "ghz_general")
     assert from_scan.lhs == pytest.approx(expected.lhs, abs=1e-12)
     assert from_scan.rhs == pytest.approx(expected.rhs, abs=1e-12)
 
@@ -81,7 +79,7 @@ def test_evaluate_point_vectors3d_matches_explicit_directions():
     c = from_spherical(coords[3], coords[4])
     d = from_spherical(coords[5], coords[6])
     from_scan = evaluate_point("general", VECTORS, coords)
-    expected = general_verdict(epr_profile_from_dots(gram_of(a, b, c, d)))
+    expected = verdict_for_profile(epr_profile_from_dots(gram_of(a, b, c, d)), "general")
     assert from_scan.lhs == pytest.approx(expected.lhs, abs=1e-12)
     assert from_scan.rhs == pytest.approx(expected.rhs, abs=1e-12)
 
