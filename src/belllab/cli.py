@@ -169,8 +169,21 @@ def load_scenario(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    _reject_huge_integers(data, "")
     _validate_scenario(data)
     return data
+
+
+def _reject_huge_integers(value, where: str) -> None:
+    """JSON integers are exact; one beyond the float range cannot enter any computation."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_huge_integers(item, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _reject_huge_integers(item, f"{where}[{index}]")
+    elif type(value) is int and abs(value) > sys.float_info.max:
+        raise ValueError(f"scenario {where} is an integer too large for a float")
 
 
 def _validate_scenario(data) -> None:

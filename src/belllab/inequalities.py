@@ -65,6 +65,15 @@ class CorrelationProfile:
             if field.name.startswith("var_") and value < -VARIANCE_TOL:
                 raise ValueError(f"variance {field.name} must be nonnegative, got {value!r}")
 
+    @classmethod
+    def from_covariance(cls, sigma) -> "CorrelationProfile":
+        """Profile read off the 4x4 covariance matrix of (A, B, C, D) = indices 0..3."""
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != (4, 4):
+            raise ValueError(f"covariance matrix must be 4x4, got shape {sigma.shape}")
+        (aa, ab, ac, ad), (_, bb, bc, bd), (_, _, cc, cd), (_, _, _, dd) = sigma.tolist()
+        return cls(ac, ad, bc, bd, ab, cd, aa, bb, cc, dd)
+
     def as_dict(self) -> dict[str, float]:
         return {field.name: getattr(self, field.name) for field in fields(self)}
 

@@ -1,10 +1,12 @@
 """Finite weighted hidden-variable models and their correlation statistics.
 
 A model assigns each hidden point a probability weight and a real value for
-each of the four observables A, B, C, D.  Means, variances and covariances
-are the weighted ensemble statistics; the Schwarz witness exposes the inner
-product and norms whose Cauchy-Schwarz relation produces the general
-inequality, so the bound can be inspected and not just asserted.
+each of the four observables A, B, C, D.  Every statistic is an entry of one
+matrix: the weighted covariance matrix of (A, B, C, D), computed from
+centered tables.  The profile is its ten distinct entries, and the Schwarz
+witness is three of its quadratic forms: the inner product and norms whose
+Cauchy-Schwarz relation produces the general inequality, so the bound can be
+inspected and not just asserted.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from .inequalities import CorrelationProfile
 WEIGHT_SUM_TOL = 1e-12
 DISPERSION_TOL = 1e-12
 
-OBSERVABLES = ("A", "B", "C", "D")
-
-_TABLE_FIELDS = {"A": "a", "B": "b", "C": "c", "D": "d"}
+#: Quadratic-form vectors of the general bound: u picks A - B, v picks C + D.
+_SCHWARZ_U = np.array([1.0, -1.0, 0.0, 0.0])
+_SCHWARZ_V = np.array([0.0, 0.0, 1.0, 1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +81,6 @@ class LhvModel:
     def n_points(self) -> int:
         return self.weights.size
 
-    def table(self, which: str) -> np.ndarray:
-        if which not in _TABLE_FIELDS:
-            raise ValueError(f"unknown observable {which!r}, expected one of {OBSERVABLES}")
-        return getattr(self, _TABLE_FIELDS[which])
-
     @classmethod
     def from_dict(cls, data: dict) -> "LhvModel":
         if not isinstance(data, dict):
@@ -126,62 +123,46 @@ class SchwarzWitness(NamedTuple):
     norm_v: float
 
 
-def lhv_mean(model: LhvModel, which: str) -> float:
-    table = model.table(which)
-    return float(model.weights @ table)
+def lhv_covariance_matrix(model: LhvModel) -> np.ndarray:
+    """Weighted covariance matrix of (A, B, C, D): sum(rho * (O_j - mean_j) * (O_k - mean_k)).
 
-
-def lhv_variance(model: LhvModel, which: str) -> float:
-    """Weighted variance sum(rho * (O - mean)^2); exactly nonnegative."""
-    table = model.table(which)
-    deviation = table - float(model.weights @ table)
-    return float(model.weights @ (deviation * deviation))
-
-
-def lhv_covariance(model: LhvModel, which_x: str, which_y: str) -> float:
-    """Weighted covariance sum(rho * X * Y) - mean(X) * mean(Y)."""
-    x = model.table(which_x)
-    y = model.table(which_y)
-    return float(model.weights @ (x * y)) - lhv_mean(model, which_x) * lhv_mean(model, which_y)
+    Centering first keeps the entries accurate for tables far from zero,
+    and the weighted Gram form keeps the matrix positive semidefinite.
+    """
+    tables = np.array([model.a, model.b, model.c, model.d])
+    with np.errstate(all="ignore"):
+        centered = tables - (tables @ model.weights)[:, None]
+        sigma = (centered * model.weights) @ centered.T
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("hidden-variable model statistics overflow: covariance matrix is not finite")
+    return sigma
 
 
 def lhv_profile(model: LhvModel) -> CorrelationProfile:
-    return CorrelationProfile(
-        e_ac=lhv_covariance(model, "A", "C"),
-        e_ad=lhv_covariance(model, "A", "D"),
-        e_bc=lhv_covariance(model, "B", "C"),
-        e_bd=lhv_covariance(model, "B", "D"),
-        e_ab=lhv_covariance(model, "A", "B"),
-        e_cd=lhv_covariance(model, "C", "D"),
-        var_a=lhv_variance(model, "A"),
-        var_b=lhv_variance(model, "B"),
-        var_c=lhv_variance(model, "C"),
-        var_d=lhv_variance(model, "D"),
-    )
+    return CorrelationProfile.from_covariance(lhv_covariance_matrix(model))
 
 
 def schwarz_witness(model: LhvModel) -> SchwarzWitness:
     """Decompose the general bound into its Cauchy-Schwarz ingredients.
 
     With u = (A - B) - mean(A - B) and v = (C + D) - mean(C + D) under the
-    weight measure, returns (sum(rho u v), sum(rho u^2), sum(rho v^2)).
-    inner equals the correlation combination, norm_u equals
-    varA + varB - 2 E(A,B), norm_v equals varC + varD + 2 E(C,D), and
-    inner^2 <= norm_u * norm_v is the inequality itself.
+    weight measure, returns (sum(rho u v), sum(rho u^2), sum(rho v^2)), read
+    as quadratic forms of the covariance matrix.  inner equals the
+    correlation combination, norm_u equals varA + varB - 2 E(A,B), norm_v
+    equals varC + varD + 2 E(C,D), and inner^2 <= norm_u * norm_v is the
+    inequality itself.
     """
-    diff = model.a - model.b
-    total = model.c + model.d
-    u = diff - float(model.weights @ diff)
-    v = total - float(model.weights @ total)
-    inner = float(model.weights @ (u * v))
-    norm_u = float(model.weights @ (u * u))
-    norm_v = float(model.weights @ (v * v))
-    return SchwarzWitness(inner, norm_u, norm_v)
+    sigma = lhv_covariance_matrix(model)
+    return SchwarzWitness(
+        float(_SCHWARZ_U @ sigma @ _SCHWARZ_V),
+        float(_SCHWARZ_U @ sigma @ _SCHWARZ_U),
+        float(_SCHWARZ_V @ sigma @ _SCHWARZ_V),
+    )
 
 
 def is_dispersion_free(model: LhvModel, tol: float = DISPERSION_TOL) -> bool:
     """True when every observable has variance at most tol on this model."""
-    return all(lhv_variance(model, which) <= tol for which in OBSERVABLES)
+    return bool(np.all(np.diag(lhv_covariance_matrix(model)) <= tol))
 
 
 def random_model(seed: int, n_points: int, bound: float) -> LhvModel:

@@ -4,9 +4,13 @@ States live in the computational basis indexed big-endian by qubit, with the
 spin-up basis state mapped to bit 0.  All operators are dense complex
 matrices; the systems are 2 and 4 qubits, so everything stays tiny.
 
-Profile builders compute every correlation twice, once through matrices and
-once through the closed forms, and refuse to return on disagreement.  That
-keeps the two derivation routes honest against each other on every call.
+A profile is the entries of one matrix: the symmetrized covariance matrix
+of the four observables, computed from the state and the images O_k psi.
+For the singlet that matrix is the Gram matrix of the four measurement axes
+with the signs of the cross-side entries flipped.  Profile builders compute
+every correlation twice, once through that matrix and once through the
+closed forms, and refuse to return on disagreement.  That keeps the two
+derivation routes honest against each other on every call.
 """
 
 from __future__ import annotations
@@ -86,25 +90,25 @@ def expectation(state: np.ndarray, op: np.ndarray) -> float:
     return value.real
 
 
-def covariance(state: np.ndarray, x_op: np.ndarray, y_op: np.ndarray) -> float:
-    """Symmetrized covariance <(XY + YX)/2> - <X><Y>.
+def covariance_matrix(state: np.ndarray, ops) -> np.ndarray:
+    """Symmetrized covariance matrix Re<O_j O_k> - <O_j><O_k> of Hermitian observables.
 
-    Symmetrizing keeps the value real for any Hermitian pair, whether or not
-    the operators commute; for commuting pairs it reduces to <XY> - <X><Y>.
+    With Psi the matrix whose column k is O_k psi, <psi|O_j O_k|psi> is
+    (Psi^H Psi)[j, k]; its real part is the symmetrized product expectation,
+    real for any Hermitian pair whether or not the operators commute.
     """
     state = np.asarray(state, dtype=complex)
-    x_op = np.asarray(x_op, dtype=complex)
-    y_op = np.asarray(y_op, dtype=complex)
-    _check_dims(state, x_op)
-    _check_dims(state, y_op)
-    # <psi|XY|psi> = <X psi|Y psi> for Hermitian X; the real part is the
-    # symmetrized product expectation since <YX> is its conjugate.
-    sym = float(np.vdot(x_op @ state, y_op @ state).real)
-    return sym - expectation(state, x_op) * expectation(state, y_op)
-
-
-def variance(state: np.ndarray, op: np.ndarray) -> float:
-    return covariance(state, op, op)
+    images = []
+    for op in ops:
+        op = np.asarray(op, dtype=complex)
+        _check_dims(state, op)
+        images.append(op @ state)
+    psi = np.stack(images, axis=1)
+    means = state.conj() @ psi
+    residue = float(np.max(np.abs(means.imag)))
+    if residue > IMAG_TOL:
+        raise NumericsError(f"expectation has imaginary residue {residue!r}")
+    return (psi.conj().T @ psi).real - np.outer(means.real, means.real)
 
 
 def epr_observables(
@@ -135,21 +139,6 @@ def ghz_observables(
     return pair(alpha, 0), pair(beta, 0), pair(gamma, 2), pair(delta, 2)
 
 
-def _profile_from_state(state, op_a, op_b, op_c, op_d) -> CorrelationProfile:
-    return CorrelationProfile(
-        e_ac=covariance(state, op_a, op_c),
-        e_ad=covariance(state, op_a, op_d),
-        e_bc=covariance(state, op_b, op_c),
-        e_bd=covariance(state, op_b, op_d),
-        e_ab=covariance(state, op_a, op_b),
-        e_cd=covariance(state, op_c, op_d),
-        var_a=variance(state, op_a),
-        var_b=variance(state, op_b),
-        var_c=variance(state, op_c),
-        var_d=variance(state, op_d),
-    )
-
-
 def _assert_profile_close(
     computed: CorrelationProfile, expected: CorrelationProfile, tol: float
 ) -> None:
@@ -166,7 +155,9 @@ def _assert_profile_close(
 
 def epr_profile(a: Direction, b: Direction, c: Direction, d: Direction) -> CorrelationProfile:
     """Matrix-computed singlet profile, self-checked against the closed forms."""
-    computed = _profile_from_state(epr_state(), *epr_observables(a, b, c, d))
+    computed = CorrelationProfile.from_covariance(
+        covariance_matrix(epr_state(), epr_observables(a, b, c, d))
+    )
     expected = epr_profile_from_dots(gram_of(a, b, c, d))
     _assert_profile_close(computed, expected, PROFILE_SELF_CHECK_TOL)
     return computed
@@ -174,7 +165,9 @@ def epr_profile(a: Direction, b: Direction, c: Direction, d: Direction) -> Corre
 
 def ghz_profile(alpha: float, beta: float, gamma: float, delta: float) -> CorrelationProfile:
     """Matrix-computed four-spin profile, self-checked against the closed forms."""
-    computed = _profile_from_state(ghz_state(), *ghz_observables(alpha, beta, gamma, delta))
+    computed = CorrelationProfile.from_covariance(
+        covariance_matrix(ghz_state(), ghz_observables(alpha, beta, gamma, delta))
+    )
     expected = ghz_profile_from_angles(alpha, beta, gamma, delta)
     _assert_profile_close(computed, expected, PROFILE_SELF_CHECK_TOL)
     return computed

@@ -36,6 +36,9 @@ TWO_PI = 2.0 * math.pi
 #: performance knob, results do not depend on it.
 DEFAULT_BLOCK_SIZE = 262144
 
+#: Most points one sweep tabulates, so a sweep's memory is bounded before it starts.
+MAX_SWEEP_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ParameterSpace:
@@ -336,8 +339,8 @@ def sweep(
         raise ValueError(f"expected {space.n_coords} coordinates, got {len(base)}")
     if not 0 <= axis < space.n_coords:
         raise ValueError(f"axis {axis} out of range for {space.n_coords} coordinates")
-    if steps < 2:
-        raise ValueError("sweep needs at least 2 steps")
+    if not 2 <= steps <= MAX_SWEEP_STEPS:
+        raise ValueError(f"sweep needs between 2 and {MAX_SWEEP_STEPS} steps, got {steps}")
     lo, hi = (float(sweep_range[0]), float(sweep_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo == hi:
         raise ValueError(f"invalid sweep interval ({lo!r}, {hi!r})")

@@ -22,13 +22,13 @@ from belllab.inequalities import (
 )
 from belllab.lhv import lhv_profile, random_model
 from belllab.quantum import (
+    covariance_matrix,
     epr_profile,
     epr_state,
     ghz_observables,
     ghz_state,
     lift,
     pauli_dot,
-    variance,
 )
 from belllab.search import evaluate_point, grid_search, parameter_space
 
@@ -124,13 +124,13 @@ def test_acceptance_05_unit_variances():
     for _ in range(100):
         v = rng.normal(size=3)
         direction = Direction(*(v / np.linalg.norm(v)))
-        var = variance(state, lift(pauli_dot(direction), 0, 2))
+        var = covariance_matrix(state, [lift(pauli_dot(direction), 0, 2)])[0, 0]
         worst = max(worst, abs(var - 1.0))
         singlet = singlet and abs(var - 1.0) <= 1e-12
     four_spin = ghz_state()
     for _ in range(25):
-        for op in ghz_observables(*rng.uniform(0.0, math.pi, size=4)):
-            var = variance(four_spin, op)
+        sigma = covariance_matrix(four_spin, ghz_observables(*rng.uniform(0.0, math.pi, size=4)))
+        for var in np.diag(sigma):
             worst = max(worst, abs(var - 1.0))
             ghz = ghz and abs(var - 1.0) <= 1e-12
     ok = singlet and ghz

@@ -2,11 +2,13 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
 import belllab.cli as cli
 from belllab.errors import NumericsError
+from belllab.search import MAX_SWEEP_STEPS
 
 
 def run(capsys, *argv):
@@ -225,6 +227,55 @@ def test_scenario_tolerance_must_be_finite_and_positive(capsys, tmp_path, litera
     assert code == 1
     assert out == ""
     assert "scenario tolerance" in err
+
+
+_PROFILE_TEXT = ", ".join(
+    f'"{key}": {"%s" if key == "e_ac" else "0"}' for key in cli.PROFILE_KEYS
+)
+
+
+@pytest.mark.parametrize(
+    "template, where, pick",
+    [
+        ('"ghz": {"angles_deg": [%s, 60, 120, 150]}', "ghz.angles_deg[0]",
+         lambda s: s["ghz"]["angles_deg"][0]),
+        ('"profile": {' + _PROFILE_TEXT + "}", "profile.e_ac", lambda s: s["profile"]["e_ac"]),
+        ('"lhv": {"weights": [1], "A": [%s], "B": [0], "C": [0], "D": [0]}', "lhv.A[0]",
+         lambda s: s["lhv"]["A"][0]),
+    ],
+    ids=["ghz-angle", "profile-field", "lhv-table"],
+)
+def test_scenario_rejects_integers_too_large_for_a_float(capsys, tmp_path, template, where, pick):
+    kind = where.split(".")[0]
+    # written by hand: the integer must reach the parser as a JSON integer literal
+    path = tmp_path / "scenario.json"
+    text = '{"kind": "%s", "inequality": "general", %s}' % (kind, template)
+    path.write_text(text % ("1" + "0" * 400))
+    code, out, err = run(capsys, "evaluate", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: scenario {where} is an integer too large for a float"]
+    # an integer in range still loads, and the scenario echo keeps it an integer
+    path.write_text(text % "45")
+    code, out, _ = run(capsys, "evaluate", "--scenario", str(path))
+    assert code == 0
+    assert repr(pick(json.loads(out)["scenario"])) == "45"
+
+
+def test_overflowing_lhv_model_names_its_statistics(capsys, tmp_path):
+    model = {"weights": [0.5, 0.5], "A": [1e200, -1e200], "B": [0, 0], "C": [0, 0], "D": [0, 0]}
+    path = write_scenario(
+        tmp_path, "lhv.json", {"kind": "lhv", "inequality": "general", "lhv": model}
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "evaluate", "--scenario", path)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: hidden-variable model statistics")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
 
 
 def test_overflowing_profile_exits_two_without_a_report(capsys, tmp_path):
@@ -456,6 +507,22 @@ def test_sweep_rejects_malformed_range(capsys, tmp_path):
             capsys, "sweep", "--scenario", path, "--axis", "0", "--range", bad, "--steps", "3"
         )
         assert code == 1, bad
+
+
+def test_sweep_refuses_too_many_steps(capsys, tmp_path):
+    path = write_scenario(
+        tmp_path,
+        "ghz.json",
+        {"kind": "ghz", "inequality": "general", "ghz": {"angles_deg": [0, 10, 20, 30]}},
+    )
+    for steps in (MAX_SWEEP_STEPS + 1, 10000000000000):
+        code, out, err = run(
+            capsys, "sweep", "--scenario", path, "--axis", "0", "--range", "0:10",
+            "--steps", str(steps),
+        )
+        assert code == 1, steps
+        assert out == ""
+        assert err == f"error: sweep needs between 2 and 1000000 steps, got {steps}\n"
 
 
 def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):

@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belllab.inequalities import verdict_for_profile
 from belllab.lhv import (
     LhvModel,
     is_dispersion_free,
-    lhv_covariance,
-    lhv_mean,
+    lhv_covariance_matrix,
     lhv_profile,
-    lhv_variance,
     random_model,
     schwarz_witness,
 )
@@ -27,35 +27,49 @@ HAND_MODEL = LhvModel(
 )
 
 
+HAND_SIGMA = lhv_covariance_matrix(HAND_MODEL)
+
+
 def test_mean_hand_computed():
-    assert lhv_mean(HAND_MODEL, "A") == pytest.approx(0.25 - 0.75, abs=1e-15)
-    assert lhv_mean(HAND_MODEL, "C") == pytest.approx(3.0, abs=1e-15)
+    # the matrix is centered: removing the means (A: 0.25 - 0.75, C: 3) or
+    # adding any constant to a table leaves it unchanged
+    centered = LhvModel(
+        weights=HAND_MODEL.weights,
+        a=HAND_MODEL.a - (0.25 - 0.75),
+        b=HAND_MODEL.b + 7.0,
+        c=HAND_MODEL.c - 3.0,
+        d=HAND_MODEL.d,
+    )
+    assert centered.weights @ centered.a == pytest.approx(0.0, abs=1e-15)
+    assert centered.weights @ centered.c == pytest.approx(0.0, abs=1e-15)
+    assert lhv_covariance_matrix(centered) == pytest.approx(HAND_SIGMA, abs=1e-15)
 
 
 def test_variance_hand_computed():
     # A: mean -0.5, deviations (1.5, -0.5): 0.25 * 2.25 + 0.75 * 0.25 = 0.75
-    assert lhv_variance(HAND_MODEL, "A") == pytest.approx(0.75, abs=1e-15)
+    assert HAND_SIGMA[0, 0] == pytest.approx(0.75, abs=1e-15)
     # C: mean 3, deviations (-3, 1): 0.25 * 9 + 0.75 * 1 = 3.0
-    assert lhv_variance(HAND_MODEL, "C") == pytest.approx(3.0, abs=1e-15)
+    assert HAND_SIGMA[2, 2] == pytest.approx(3.0, abs=1e-15)
 
 
 def test_covariance_hand_computed():
     # <AC> = 0.25 * 0 + 0.75 * (-4) = -3; mean(A) mean(C) = -1.5
-    assert lhv_covariance(HAND_MODEL, "A", "C") == pytest.approx(-1.5, abs=1e-15)
+    assert HAND_SIGMA[0, 2] == pytest.approx(-1.5, abs=1e-15)
 
 
 def test_covariance_of_observable_with_itself_is_variance():
-    for which in ("A", "B", "C", "D"):
-        assert lhv_covariance(HAND_MODEL, which, which) == pytest.approx(
-            lhv_variance(HAND_MODEL, which), abs=1e-12
-        )
+    weights = HAND_MODEL.weights
+    for k, table in enumerate((HAND_MODEL.a, HAND_MODEL.b, HAND_MODEL.c, HAND_MODEL.d)):
+        deviation = table - weights @ table
+        assert HAND_SIGMA[k, k] == pytest.approx(weights @ (deviation * deviation), abs=1e-12)
+    assert np.array_equal(HAND_SIGMA, HAND_SIGMA.T)
 
 
 def test_profile_wires_fields_to_moments():
     profile = lhv_profile(HAND_MODEL)
-    assert profile.e_ac == pytest.approx(lhv_covariance(HAND_MODEL, "A", "C"), abs=1e-15)
-    assert profile.e_cd == pytest.approx(lhv_covariance(HAND_MODEL, "C", "D"), abs=1e-15)
-    assert profile.var_b == pytest.approx(lhv_variance(HAND_MODEL, "B"), abs=1e-15)
+    assert profile.e_ac == pytest.approx(HAND_SIGMA[0, 2], abs=1e-15)
+    assert profile.e_cd == pytest.approx(HAND_SIGMA[2, 3], abs=1e-15)
+    assert profile.var_b == pytest.approx(HAND_SIGMA[1, 1], abs=1e-15)
 
 
 def test_model_validation():
@@ -206,3 +220,42 @@ def test_mirrored_sign_model_reaches_chsh_bound():
     verdict = verdict_for_profile(lhv_profile(model), "chsh")
     assert verdict.lhs == pytest.approx(2.0, abs=1e-15)
     assert not verdict.violated
+
+
+def test_common_offset_does_not_fake_a_violation():
+    # tables near 1e8 make an uncentered covariance cancel 1e16-sized
+    # products; A = B saturates the bound, so the exact margin is 0
+    offset = [100000000.3, 99999999.9]
+    model = LhvModel(weights=[0.5, 0.5], a=offset, b=offset, c=[1.0, -1.0], d=[1.0, -1.0])
+    profile = lhv_profile(model)
+    verdict = verdict_for_profile(profile, "general")
+    assert not verdict.violated
+    assert abs(verdict.margin) <= 1e-9
+    assert profile.e_ab <= math.sqrt(profile.var_a * profile.var_b)
+
+
+@st.composite
+def _offset_tables(draw):
+    n_points = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=n_points, max_size=n_points))
+    weights = np.array(raw) / sum(raw)
+    noise = st.lists(st.floats(-1.0, 1.0), min_size=n_points, max_size=n_points)
+    tables = []
+    for _ in range(4):
+        offset = draw(st.floats(-1e8, 1e8))
+        tables.append(offset + np.array(draw(noise)))
+    if draw(st.booleans()):
+        tables[1] = tables[0]
+    return LhvModel(weights, *tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_offset_tables())
+def test_general_bound_holds_under_common_offset(model):
+    profile = lhv_profile(model)
+    assert not verdict_for_profile(profile, "general").violated
+    variances = {"a": profile.var_a, "b": profile.var_b, "c": profile.var_c, "d": profile.var_d}
+    for x, y in ("ac", "ad", "bc", "bd", "ab", "cd"):
+        e_xy = getattr(profile, f"e_{x}{y}")
+        assert e_xy * e_xy <= variances[x] * variances[y] + 1e-9
+

@@ -12,7 +12,7 @@ from belllab.quantum import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    covariance,
+    covariance_matrix,
     epr_observables,
     epr_profile,
     epr_state,
@@ -22,7 +22,6 @@ from belllab.quantum import (
     ghz_state,
     lift,
     pauli_dot,
-    variance,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -121,14 +120,17 @@ def test_singlet_spin_variance_is_unity():
     state = epr_state()
     for _ in range(100):
         n = _random_direction(rng)
-        assert variance(state, lift(pauli_dot(n), 0, 2)) == pytest.approx(1.0, abs=1e-12)
+        sigma = covariance_matrix(state, [lift(pauli_dot(n), 0, 2)])
+        assert sigma[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_covariance_is_symmetric_in_its_operators():
     state = epr_state()
     x = lift(pauli_dot((1.0, 0.0, 0.0)), 0, 2)
     y = lift(pauli_dot((0.0, 0.0, 1.0)), 1, 2)
-    assert covariance(state, x, y) == pytest.approx(covariance(state, y, x), abs=1e-14)
+    sigma = covariance_matrix(state, [x, y])
+    assert sigma[0, 1] == pytest.approx(sigma[1, 0], abs=1e-14)
+    assert sigma[0, 1] == pytest.approx(covariance_matrix(state, [y, x])[0, 1], abs=1e-14)
 
 
 def test_epr_observables_anticommute_locally():
@@ -171,8 +173,8 @@ def test_ghz_observable_variances_are_unity():
     state = ghz_state()
     for _ in range(25):
         ops = ghz_observables(*rng.uniform(0.0, math.pi, size=4))
-        for op in ops:
-            assert variance(state, op) == pytest.approx(1.0, abs=1e-12)
+        sigma = covariance_matrix(state, ops)
+        assert np.diag(sigma) == pytest.approx(np.ones(4), abs=1e-12)
 
 
 def test_ghz_profile_matches_closed_form():
@@ -199,3 +201,32 @@ def test_expectation_flags_imaginary_leakage():
     non_hermitian = np.diag([0.0, 1.0j, 0.0, 0.0]) + np.eye(4)
     with pytest.raises(NumericsError):
         expectation(state, non_hermitian)
+
+
+# D flips the sign of the C, D side: cross-side entries are anticorrelations.
+SIDE_SIGNS = np.diag([1.0, 1.0, -1.0, -1.0])
+
+
+def test_singlet_covariance_is_signed_gram_matrix():
+    rng = np.random.default_rng(25)
+    for _ in range(100):
+        directions = [_random_direction(rng) for _ in range(4)]
+        vectors = np.array([d.as_array() for d in directions])
+        gram = vectors @ vectors.T
+        sigma = covariance_matrix(epr_state(), epr_observables(*directions))
+        assert np.max(np.abs(sigma - SIDE_SIGNS @ gram @ SIDE_SIGNS)) <= 1e-12
+
+
+def test_four_spin_covariance_is_signed_cosine_matrix():
+    rng = np.random.default_rng(26)
+    for _ in range(100):
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=4)
+        cosines = np.cos(2.0 * (angles[:, None] - angles[None, :]))
+        sigma = covariance_matrix(ghz_state(), ghz_observables(*angles))
+        assert np.max(np.abs(sigma - SIDE_SIGNS @ cosines @ SIDE_SIGNS)) <= 1e-12
+
+
+def test_covariance_matrix_flags_imaginary_leakage():
+    non_hermitian = np.diag([0.0, 1.0j, 0.0, 0.0]) + np.eye(4)
+    with pytest.raises(NumericsError):
+        covariance_matrix(epr_state(), [np.eye(4), non_hermitian])
