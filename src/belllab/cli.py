@@ -169,21 +169,24 @@ def load_scenario(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    _reject_huge_integers(data, "")
+    _reject_non_finite_numbers(data, "")
     _validate_scenario(data)
     return data
 
 
-def _reject_huge_integers(value, where: str) -> None:
-    """JSON integers are exact; one beyond the float range cannot enter any computation."""
+def _reject_non_finite_numbers(value, where: str) -> None:
+    """Refuse what cannot enter a computation as a finite float: JSON integers
+    beyond the float range, and float literals that overflow, NaN and Infinity."""
     if isinstance(value, dict):
         for key, item in value.items():
-            _reject_huge_integers(item, f"{where}.{key}" if where else key)
+            _reject_non_finite_numbers(item, f"{where}.{key}" if where else key)
     elif isinstance(value, list):
         for index, item in enumerate(value):
-            _reject_huge_integers(item, f"{where}[{index}]")
+            _reject_non_finite_numbers(item, f"{where}[{index}]")
     elif type(value) is int and abs(value) > sys.float_info.max:
         raise ValueError(f"scenario {where} is an integer too large for a float")
+    elif type(value) is float and not math.isfinite(value):
+        raise ValueError(f"scenario {where} is not a finite number")
 
 
 def _validate_scenario(data) -> None:

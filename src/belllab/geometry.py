@@ -91,9 +91,6 @@ class DotProductConfig:
             raise ValueError("Gram matrix of unit vectors must have unit diagonal")
         return cls(m[0, 1], m[0, 2], m[0, 3], m[1, 2], m[1, 3], m[2, 3])
 
-    def as_list(self) -> list[float]:
-        return [getattr(self, name) for name in _DOT_NAMES]
-
     def matrix(self) -> np.ndarray:
         return np.array(
             [

@@ -1,26 +1,28 @@
 """Derivative-free maximization of inequality margins over measurement parameters.
 
-Three parameter spaces are supported:
+One table, SPACES, is the only place a search space is described: bounds,
+wrap flags, the state family it models and its coordinates -> correlations map.
 
 * planar_epr: four planar angles, one per singlet measurement axis.
 * ghz_angles: four planar angles for the pair-product observables; the
-  closed forms have period pi in each angle, so the default bounds stop there.
+  closed forms have period pi in each angle, so the bounds stop there.
 * vectors3d: four unit vectors as spherical coordinates with the first
   vector's azimuth fixed to 0, which quotients out the free global rotation
   about z instead of wasting lattice points on it.  Coordinate order is
   (theta_a, theta_b, phi_b, theta_c, phi_c, theta_d, phi_d).
 
-Grid search scans a full lattice; margins are evaluated with the same
-vectorized kernels the scalar evaluate_point uses, so a reported optimum
-re-evaluates to identical numbers.  Ties are broken by the lexicographically
-smallest coordinate vector, which a lexicographic scan with strict
-improvement gives for free, independent of how the lattice is blocked.
+Grid search sizes the lattice from integer axis counts before it builds any
+array, then scans it in blocks of at most BLOCK_SIZE trailing points with the
+kernels evaluate_point uses, so a reported optimum re-evaluates to identical
+numbers.  Ties go to the lexicographically smallest coordinate vector, which a
+lexicographic scan with strict improvement gives whatever the blocking.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +30,14 @@ import numpy as np
 from . import inequalities
 from .inequalities import VIOLATION_TOL, InequalityVerdict, inequality_kernel, make_verdict
 
-SPACE_KINDS = ("planar_epr", "ghz_angles", "vectors3d")
+#: Most points one grid scan covers, so a scan's run time is bounded before it starts.
+MAX_LATTICE_POINTS = 10**10
 
-TWO_PI = 2.0 * math.pi
+#: Most lattice points one vectorized block evaluates; results do not depend on it.
+BLOCK_SIZE = 262144
 
-#: Largest trailing block materialized during a grid scan; a pure
-#: performance knob, results do not depend on it.
-DEFAULT_BLOCK_SIZE = 262144
+#: Most accepted moves per refinement step size.
+MAX_MOVES_PER_LEVEL = 100000
 
 #: Most points one sweep tabulates, so a sweep's memory is bounded before it starts.
 MAX_SWEEP_STEPS = 1_000_000
@@ -46,67 +49,24 @@ class ParameterSpace:
 
     Wrapped coordinates are periodic with period hi - lo; their lattices and
     refinement probes wrap modulo that period, and clipped coordinates pin to
-    the interval instead.
+    the interval instead.  correlations maps coordinates (floats or arrays) to
+    the six correlations; the kernels' default unit variances hold because
+    every spin and pair-product observable squares to one.
     """
 
-    kind: str
+    family: str
     bounds: tuple[tuple[float, float], ...]
     wrap: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in SPACE_KINDS:
-            raise ValueError(f"unknown space kind {self.kind!r}, expected one of {SPACE_KINDS}")
-        if len(self.bounds) == 0 or len(self.bounds) != len(self.wrap):
-            raise ValueError("bounds and wrap flags must be nonempty and of equal length")
-        for lo, hi in self.bounds:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"invalid coordinate interval ({lo!r}, {hi!r})")
+    correlations: Callable
 
     @property
     def n_coords(self) -> int:
         return len(self.bounds)
 
 
-def parameter_space(kind: str) -> ParameterSpace:
-    """Standard space for a kind, with its natural bounds."""
-    if kind == "planar_epr":
-        return ParameterSpace(kind, (((0.0, TWO_PI),) * 4), (True,) * 4)
-    if kind == "ghz_angles":
-        # correlations have period pi in every angle
-        return ParameterSpace(kind, (((0.0, math.pi),) * 4), (True,) * 4)
-    if kind == "vectors3d":
-        polar = (0.0, math.pi)
-        azimuth = (0.0, TWO_PI)
-        return ParameterSpace(
-            kind,
-            (polar, polar, azimuth, polar, azimuth, polar, azimuth),
-            (False, False, True, False, True, False, True),
-        )
-    raise ValueError(f"unknown space kind {kind!r}, expected one of {SPACE_KINDS}")
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    best_params: tuple[float, ...]
-    best_verdict: InequalityVerdict
-    evaluations: int
-    resolution: float
-
-
-# ---------------------------------------------------------------------------
-# Vectorized margin kernels.
-
-
 def _epr_dots_from_planar(coords):
-    a, b, c, d = coords
-    return (
-        np.cos(a - b),
-        np.cos(a - c),
-        np.cos(a - d),
-        np.cos(b - c),
-        np.cos(b - d),
-        np.cos(c - d),
-    )
+    # pairs in the order ab, ac, ad, bc, bd, cd
+    return tuple(np.cos(x - y) for x, y in itertools.combinations(coords, 2))
 
 
 def _epr_dots_from_spherical(coords):
@@ -130,23 +90,41 @@ def _epr_dots_from_spherical(coords):
     return ab, ac, ad, bc, bd, cd
 
 
-def _correlations(kind: str, coords):
-    if kind == "ghz_angles":
-        return inequalities.ghz_correlation_terms(*coords)
-    if kind == "planar_epr":
-        dots = _epr_dots_from_planar(coords)
-    else:
-        dots = _epr_dots_from_spherical(coords)
-    return inequalities.epr_correlation_terms(*dots)
+_POLAR = (0.0, math.pi)
+_AZIMUTH = (0.0, 2.0 * math.pi)
+
+SPACES = {
+    "planar_epr": ParameterSpace(
+        "epr", (_AZIMUTH,) * 4, (True,) * 4,
+        lambda x: inequalities.epr_correlation_terms(*_epr_dots_from_planar(x)),
+    ),
+    "ghz_angles": ParameterSpace(
+        "ghz", (_POLAR,) * 4, (True,) * 4, lambda x: inequalities.ghz_correlation_terms(*x)
+    ),
+    "vectors3d": ParameterSpace(
+        "epr",
+        (_POLAR, _POLAR, _AZIMUTH, _POLAR, _AZIMUTH, _POLAR, _AZIMUTH),
+        (False, False, True, False, True, False, True),
+        lambda x: inequalities.epr_correlation_terms(*_epr_dots_from_spherical(x)),
+    ),
+}
+
+SPACE_KINDS = tuple(SPACES)
 
 
-def _kernel(inequality_id: str, space: ParameterSpace):
-    """Registry kernel for an id, checked against the state family the space models.
+def parameter_space(kind: str) -> ParameterSpace:
+    """Standard space for a kind, with its natural bounds."""
+    try:
+        return SPACES[kind]
+    except KeyError:
+        raise ValueError(f"unknown space kind {kind!r}, expected one of {SPACE_KINDS}") from None
 
-    Kernels run on the six correlations alone: their default unit variances
-    hold because every spin and pair-product observable squares to one.
-    """
-    return inequality_kernel(inequality_id, "ghz" if space.kind == "ghz_angles" else "epr")
+
+@dataclass(frozen=True)
+class SearchResult:
+    best_params: tuple[float, ...]
+    best_verdict: InequalityVerdict
+    evaluations: int
 
 
 def evaluate_point(
@@ -156,11 +134,11 @@ def evaluate_point(
     tolerance: float = VIOLATION_TOL,
 ) -> InequalityVerdict:
     """Evaluate one parameter point with the same arithmetic the lattice scan uses."""
-    kernel = _kernel(inequality_id, space)
+    kernel = inequality_kernel(inequality_id, space.family)
     coords = tuple(float(v) for v in coords)
     if len(coords) != space.n_coords:
         raise ValueError(f"expected {space.n_coords} coordinates, got {len(coords)}")
-    lhs, rhs = kernel(*_correlations(space.kind, coords))
+    lhs, rhs = kernel(*space.correlations(coords))
     return make_verdict(inequality_id, float(lhs), float(rhs), tolerance)
 
 
@@ -168,24 +146,11 @@ def evaluate_point(
 # Grid search.
 
 
-def _axis_lattice(lo: float, hi: float, resolution: float, wrapped: bool) -> np.ndarray:
-    steps = int(math.floor((hi - lo) / resolution + 1e-9))
-    count = steps if wrapped else steps + 1
-    if count < 2:
-        raise ValueError(
-            f"resolution {resolution!r} leaves fewer than 2 lattice steps on "
-            f"interval ({lo!r}, {hi!r})"
-        )
-    # wrapped axes drop the upper endpoint, which duplicates lo modulo the period
-    return lo + resolution * np.arange(count)
-
-
 def grid_search(
     inequality_id: str,
     space: ParameterSpace,
     resolution: float,
     tolerance: float = VIOLATION_TOL,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> SearchResult:
     """Exhaustive lattice scan returning the maximum-margin point.
 
@@ -193,58 +158,54 @@ def grid_search(
     vector: the lattice is scanned in lexicographic order and only strict
     improvements replace the incumbent, so blocking cannot change the result.
     """
-    kernel = _kernel(inequality_id, space)
+    kernel = inequality_kernel(inequality_id, space.family)
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
-    axes = [
-        _axis_lattice(lo, hi, resolution, wrapped)
-        for (lo, hi), wrapped in zip(space.bounds, space.wrap)
-    ]
-    sizes = [axis.size for axis in axes]
+    sizes = []
+    for (lo, hi), wrapped in zip(space.bounds, space.wrap):
+        # clamped so a resolution too fine for any float count reaches the size check
+        steps = math.floor(min((hi - lo) / resolution + 1e-9, MAX_LATTICE_POINTS))
+        # wrapped axes drop the upper endpoint, which duplicates lo modulo the period
+        sizes.append(steps if wrapped else steps + 1)
+        if sizes[-1] < 2:
+            raise ValueError(
+                f"resolution {resolution!r} leaves fewer than 2 lattice steps on "
+                f"interval ({lo!r}, {hi!r})"
+            )
     total = math.prod(sizes)
+    if total > MAX_LATTICE_POINTS:
+        raise ValueError(
+            f"resolution {resolution!r} needs at least {total} lattice points, "
+            f"more than the {MAX_LATTICE_POINTS} one scan may cover"
+        )
+    axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
 
-    # split the axes so the materialized trailing block stays within block_size
-    split = len(axes)
-    tail = 1
-    while split > 0 and tail * sizes[split - 1] <= block_size:
-        tail *= sizes[split - 1]
+    # the trailing block holds the last axis, plus earlier axes while they fit
+    split = len(axes) - 1
+    while split > 0 and math.prod(sizes[split - 1 :]) <= BLOCK_SIZE:
         split -= 1
     tail_axes = axes[split:]
     tail_shape = tuple(sizes[split:])
-    if tail_axes:
-        mesh = np.meshgrid(*tail_axes, indexing="ij")
-        tail_flat = tuple(m.ravel() for m in mesh)
-    else:
-        tail_flat = ()
+    tail_flat = tuple(m.ravel() for m in np.meshgrid(*tail_axes, indexing="ij"))
 
     best_margin = -math.inf
     best_coords: tuple[float, ...] | None = None
     for prefix in itertools.product(*axes[:split]):
-        if tail_flat:
-            coords = tuple(float(v) for v in prefix) + tail_flat
-            lhs, rhs = kernel(*_correlations(space.kind, coords))
-            margin = lhs - rhs
-            index = int(np.argmax(margin))
-            candidate = float(margin[index])
-            if candidate > best_margin:
-                offsets = np.unravel_index(index, tail_shape)
-                best_margin = candidate
-                best_coords = tuple(float(v) for v in prefix) + tuple(
-                    float(axis[offset]) for axis, offset in zip(tail_axes, offsets)
-                )
-        else:
-            coords = tuple(float(v) for v in prefix)
-            lhs, rhs = kernel(*_correlations(space.kind, coords))
-            candidate = float(lhs - rhs)
-            if candidate > best_margin:
-                best_margin = candidate
-                best_coords = coords
+        head = tuple(float(v) for v in prefix)
+        lhs, rhs = kernel(*space.correlations(head + tail_flat))
+        margin = lhs - rhs
+        index = int(np.argmax(margin))
+        candidate = float(margin[index])
+        if candidate > best_margin:
+            offsets = np.unravel_index(index, tail_shape)
+            best_margin = candidate
+            best_coords = head + tuple(
+                float(axis[offset]) for axis, offset in zip(tail_axes, offsets)
+            )
 
     assert best_coords is not None
     best_verdict = evaluate_point(inequality_id, space, best_coords, tolerance)
-    return SearchResult(best_coords, best_verdict, total, resolution)
+    return SearchResult(best_coords, best_verdict, total)
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +231,15 @@ def refine(
     shrink: float,
     min_step: float,
     tolerance: float = VIOLATION_TOL,
-    max_moves_per_level: int = 100000,
 ) -> SearchResult:
     """Coordinate-wise compass ascent from start.
 
     Probes +step then -step along each coordinate in order and accepts the
     first strict margin improvement, restarting the sweep; when a full sweep
-    yields no improvement the step shrinks.  Terminates once the step falls
-    below min_step; a starting step not above min_step returns the start
-    unchanged.  The accepted-margin trace is monotone by construction.
+    yields no improvement, or MAX_MOVES_PER_LEVEL moves were accepted, the
+    step shrinks.  Terminates once the step falls below min_step; a starting
+    step not above min_step returns the start unchanged.  The accepted-margin
+    trace is monotone by construction.
     """
     if not (0.0 < shrink < 1.0):
         raise ValueError("shrink must lie strictly between 0 and 1")
@@ -294,13 +255,13 @@ def refine(
     verdict = evaluate_point(inequality_id, space, current, tolerance)
     evaluations = 1
     if initial_step <= min_step:
-        return SearchResult(current, verdict, evaluations, initial_step)
+        return SearchResult(current, verdict, evaluations)
 
     step = initial_step
     while step >= min_step:
         moves = 0
         improved = True
-        while improved and moves < max_moves_per_level:
+        while improved and moves < MAX_MOVES_PER_LEVEL:
             improved = False
             for axis in range(space.n_coords):
                 for delta in (step, -step):
@@ -317,7 +278,7 @@ def refine(
                 if improved:
                     break
         step *= shrink
-    return SearchResult(current, verdict, evaluations, initial_step)
+    return SearchResult(current, verdict, evaluations)
 
 
 def sweep(
@@ -333,7 +294,7 @@ def sweep(
 
     Returns (coordinate, lhs, rhs, margin) rows in sweep order, steps of them.
     """
-    kernel = _kernel(inequality_id, space)
+    kernel = inequality_kernel(inequality_id, space.family)
     base = tuple(float(v) for v in base)
     if len(base) != space.n_coords:
         raise ValueError(f"expected {space.n_coords} coordinates, got {len(base)}")
@@ -346,7 +307,7 @@ def sweep(
         raise ValueError(f"invalid sweep interval ({lo!r}, {hi!r})")
     values = np.linspace(lo, hi, steps)
     coords = base[:axis] + (values,) + base[axis + 1 :]
-    lhs, rhs = kernel(*_correlations(space.kind, coords))
+    lhs, rhs = kernel(*space.correlations(coords))
     margin = lhs - rhs
     return [
         (float(values[i]), float(lhs[i]), float(rhs[i]), float(margin[i]))

@@ -250,11 +250,18 @@ def test_scenario_rejects_integers_too_large_for_a_float(capsys, tmp_path, templ
     # written by hand: the integer must reach the parser as a JSON integer literal
     path = tmp_path / "scenario.json"
     text = '{"kind": "%s", "inequality": "general", %s}' % (kind, template)
-    path.write_text(text % ("1" + "0" * 400))
-    code, out, err = run(capsys, "evaluate", "--scenario", str(path))
-    assert code == 1
-    assert out == ""
-    assert err.splitlines() == [f"error: scenario {where} is an integer too large for a float"]
+    for literal, problem in [
+        ("1" + "0" * 400, "is an integer too large for a float"),
+        # float literals that overflow, and the non-standard tokens json accepts
+        ("1e400", "is not a finite number"),
+        ("-Infinity", "is not a finite number"),
+        ("NaN", "is not a finite number"),
+    ]:
+        path.write_text(text % literal)
+        code, out, err = run(capsys, "evaluate", "--scenario", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: scenario {where} {problem}"]
     # an integer in range still loads, and the scenario echo keeps it an integer
     path.write_text(text % "45")
     code, out, _ = run(capsys, "evaluate", "--scenario", str(path))
@@ -396,6 +403,14 @@ def test_search_space_mismatch_exits_one(capsys):
     )
     assert code == 1
     assert "ghz" in err
+
+
+def test_search_refuses_a_lattice_beyond_the_limit(capsys):
+    # vectors3d at the default 5 degrees is 6.995e11 points, about ten hours
+    code, out, err = run(capsys, "search", "--inequality", "general", "--space", "vectors3d")
+    assert code == 1
+    assert out == ""
+    assert "699526844928 lattice points" in err
 
 
 def test_lhv_check_passes(capsys):

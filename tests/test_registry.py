@@ -76,6 +76,7 @@ def test_registry_states_the_expected_families():
         "chsh",
     )
     assert set(SPACE_FAMILY) == set(SPACE_KINDS)
+    assert all(parameter_space(kind).family == SPACE_FAMILY[kind] for kind in SPACE_KINDS)
 
 
 def _run(capsys, argv):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from belllab import search
 from belllab.geometry import Direction, gram_of, planar
 from belllab.inequalities import (
     epr_profile_from_dots,
@@ -98,10 +99,16 @@ def test_evaluate_point_validates_coordinate_count():
         evaluate_point("general", PLANAR, (0.0, 1.0))
 
 
-def test_grid_counts_wrapped_lattice_points():
+def test_grid_counts_wrapped_lattice_points(monkeypatch):
     # 90 degree resolution on wrapped [0, 2pi) axes: 4 points per axis
     result = grid_search("general", PLANAR, math.pi / 2.0)
     assert result.evaluations == 4**4
+    # a lattice exactly at the size limit runs; one point more is refused
+    monkeypatch.setattr(search, "MAX_LATTICE_POINTS", 4**4)
+    assert grid_search("general", PLANAR, math.pi / 2.0).evaluations == 4**4
+    monkeypatch.setattr(search, "MAX_LATTICE_POINTS", 4**4 - 1)
+    with pytest.raises(ValueError, match="256 lattice points"):
+        grid_search("general", PLANAR, math.pi / 2.0)
 
 
 def test_grid_matches_brute_force():
@@ -117,11 +124,12 @@ def test_grid_matches_brute_force():
     assert result.best_params == pytest.approx(best[0], abs=1e-12)
 
 
-def test_grid_result_is_independent_of_block_size():
+def test_grid_result_is_independent_of_block_size(monkeypatch):
     resolution = math.radians(45.0)
     coarse = grid_search("chsh", PLANAR, resolution)
     for block_size in (1, 7, 64, 100000):
-        other = grid_search("chsh", PLANAR, resolution, block_size=block_size)
+        monkeypatch.setattr(search, "BLOCK_SIZE", block_size)
+        other = grid_search("chsh", PLANAR, resolution)
         assert other.best_params == coarse.best_params
         assert other.best_verdict.margin == coarse.best_verdict.margin
         assert other.evaluations == coarse.evaluations
@@ -157,8 +165,13 @@ def test_grid_validates_arguments():
         grid_search("general", PLANAR, 0.0)
     with pytest.raises(ValueError):
         grid_search("general", PLANAR, 10.0)  # coarser than the axis span
-    with pytest.raises(ValueError):
-        grid_search("general", PLANAR, 1.0, block_size=0)
+    # lattices beyond the size limit are refused before any array is built:
+    # vectors3d at 5 degrees has 6.995e11 points, and a subnormal resolution
+    # has a point count no float can hold
+    with pytest.raises(ValueError, match="699526844928 lattice points"):
+        grid_search("general", VECTORS, math.radians(5.0))
+    with pytest.raises(ValueError, match="lattice points"):
+        grid_search("general", PLANAR, math.radians(1e-320))
     with pytest.raises(ValueError):
         grid_search("bogus", PLANAR, 1.0)
 
