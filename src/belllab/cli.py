@@ -5,7 +5,8 @@ Subcommands:
 * reproduce: evaluate the two bundled reference configurations and compare
   against their published figures, listing discrepancies side by side.
 * evaluate: run one inequality on a scenario file (quantum parameters, a raw
-  profile, or a finite hidden-variable model).
+  profile, or a finite hidden-variable model).  The scenario kinds are
+  defined in one place, the SCENARIOS table, which parses each kind once.
 * search: lattice-scan a parameter space for the largest margin, with
   optional compass refinement.
 * lhv-check: fuzz seeded random hidden-variable models against the general
@@ -55,37 +56,16 @@ SPACE_BY_CLI_NAME = {
     "vectors3d": "vectors3d",
 }
 
-SCENARIO_KINDS = ("epr", "ghz", "profile", "lhv")
-
 # Reference configurations quoted from the published account of these
 # inequalities, kept verbatim so the discrepancy ledger has fixed targets.
 REFERENCE_EPR_DOT_ANGLES_DEG = {
-    "ab": 120.0,
-    "ac": 30.0,
-    "ad": 120.0,
-    "bc": 140.0,
-    "bd": 160.0,
-    "cd": 45.0,
+    "ab": 120.0, "ac": 30.0, "ad": 120.0, "bc": 140.0, "bd": 160.0, "cd": 45.0,
 }
 REFERENCE_GHZ_ANGLES_DEG = (45.0, 60.0, 120.0, 150.0)
+#: Published (lhs, rhs) of the general form at each reference configuration.
+PUBLISHED_GENERAL = {"epr": (0.38, 10.2), "ghz": (0.0275, 6.804)}
 
-PUBLISHED_EPR_GENERAL_LHS = 0.38
-PUBLISHED_EPR_GENERAL_RHS = 10.2
-PUBLISHED_GHZ_GENERAL_LHS = 0.0275
-PUBLISHED_GHZ_GENERAL_RHS = 6.804
-
-PROFILE_KEYS = (
-    "e_ac",
-    "e_ad",
-    "e_bc",
-    "e_bd",
-    "e_ab",
-    "e_cd",
-    "var_a",
-    "var_b",
-    "var_c",
-    "var_d",
-)
+PROFILE_KEYS = tuple(field.name for field in dataclasses.fields(CorrelationProfile))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,20 +127,95 @@ def _build_parser() -> _Parser:
 # Scenario files.
 
 
-def _expect_numbers(value, what: str, length: int | None = None) -> list[float]:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _expect_numbers(value, what: str, length: int) -> list[float]:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list of numbers")
-    if length is not None and len(value) != length:
+    if len(value) != length:
         raise ValueError(f"{what} must hold exactly {length} numbers, got {len(value)}")
     out = []
     for entry in value:
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+        if not _is_number(entry):
             raise ValueError(f"{what} must hold only numbers")
         out.append(float(entry))
     return out
 
 
-def load_scenario(path: str) -> dict:
+def _angle_echo(degs: list[float]) -> dict:
+    return {"angles_deg": degs, "angles_rad": [math.radians(v) for v in degs]}
+
+
+def _singlet_build(directions, echo: dict):
+    return epr_profile(*directions), realizability_report(gram_of(*directions)), echo
+
+
+def _dots_build(values: list[float]):
+    dots = DotProductConfig.from_sequence(values)
+    # raw dot products may be unrealizable, so only the closed form applies
+    return epr_profile_from_dots(dots), realizability_report(dots), {}
+
+
+def _parse_epr(block: dict):
+    if len(block) != 1 or not block.keys() <= {"angles_deg", "vectors", "dots"}:
+        raise ValueError(
+            "the epr block must hold exactly one of angles_deg (4 planar angles), "
+            "vectors (4 unit vectors), or dots (6 dot products)"
+        )
+    [(which, value)] = block.items()
+    if which == "angles_deg":
+        degs = _expect_numbers(value, "epr angles_deg", 4)
+        echo = _angle_echo(degs)
+        return degs, lambda: _singlet_build(planar(echo["angles_rad"]), echo)
+    if which == "dots":
+        values = _expect_numbers(value, "epr dots", 6)
+        return None, lambda: _dots_build(values)
+    if not isinstance(value, list) or len(value) != 4:
+        raise ValueError("epr vectors must be a list of 4 vectors")
+    vectors = [_expect_numbers(row, "epr vector", 3) for row in value]
+    return None, lambda: _singlet_build(tuple(Direction(*v) for v in vectors), {})
+
+
+def _parse_ghz(block: dict):
+    if set(block) != {"angles_deg"}:
+        raise ValueError("the ghz block must hold exactly the key angles_deg")
+    degs = _expect_numbers(block["angles_deg"], "ghz angles_deg", 4)
+    echo = _angle_echo(degs)
+    return degs, lambda: (ghz_profile(*echo["angles_rad"]), None, echo)
+
+
+def _parse_profile(block: dict):
+    if set(block) != set(PROFILE_KEYS):
+        raise ValueError(f"the profile block must hold exactly the keys {PROFILE_KEYS}")
+    for key in PROFILE_KEYS:
+        if not _is_number(block[key]):
+            raise ValueError(f"profile field {key} must be a number")
+    return None, lambda: (CorrelationProfile(**block), None, {})
+
+
+def _parse_lhv(block: dict):
+    model = LhvModel.from_dict(block)  # raises ValueError with specifics
+    return None, lambda: (lhv_profile(model), None, {})
+
+
+# The one place a scenario kind is interpreted: kind -> (block parser, search
+# space of its angles or None).  A parser checks its block as it converts it and
+# returns (angles in degrees or None, build); build() returns (profile,
+# realizability or None, angle echo), checking what only the profile can check.
+SCENARIOS = {
+    "epr": (_parse_epr, "planar_epr"),
+    "ghz": (_parse_ghz, "ghz_angles"),
+    "profile": (_parse_profile, None),
+    "lhv": (_parse_lhv, None),
+}
+
+SCENARIO_KINDS = tuple(SCENARIOS)
+
+
+def load_scenario(path: str):
+    """Read, check and parse a scenario file; returns (data, angles in degrees or None, build)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -170,8 +225,28 @@ def load_scenario(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     _reject_non_finite_numbers(data, "")
-    _validate_scenario(data)
-    return data
+    if not isinstance(data, dict):
+        raise ValueError("scenario must be a JSON object")
+    kind = data.get("kind")
+    # a tuple, not the table: an unhashable kind must get this message too
+    if kind not in SCENARIO_KINDS:
+        raise ValueError(f"scenario kind must be one of {SCENARIO_KINDS}, got {kind!r}")
+    extra = data.keys() - {"kind", "inequality", "tolerance", kind}
+    if extra:
+        raise ValueError(f"scenario has unexpected keys {sorted(extra)}")
+    if kind not in data:
+        raise ValueError(f"scenario is missing its {kind!r} parameter block")
+    if "inequality" in data and data["inequality"] not in INEQUALITY_IDS:
+        raise ValueError(
+            f"scenario inequality must be one of {INEQUALITY_IDS}, got {data['inequality']!r}"
+        )
+    if "tolerance" in data:
+        _checked_tolerance(data["tolerance"], "scenario tolerance")
+    block = data[kind]
+    if not isinstance(block, dict):
+        raise ValueError(f"the {kind!r} parameter block must be a JSON object")
+    angles_deg, build = SCENARIOS[kind][0](block)
+    return data, angles_deg, build
 
 
 def _reject_non_finite_numbers(value, where: str) -> None:
@@ -189,97 +264,12 @@ def _reject_non_finite_numbers(value, where: str) -> None:
         raise ValueError(f"scenario {where} is not a finite number")
 
 
-def _validate_scenario(data) -> None:
-    if not isinstance(data, dict):
-        raise ValueError("scenario must be a JSON object")
-    kind = data.get("kind")
-    if kind not in SCENARIO_KINDS:
-        raise ValueError(f"scenario kind must be one of {SCENARIO_KINDS}, got {kind!r}")
-    allowed = {"kind", "inequality", "tolerance", kind}
-    extra = data.keys() - allowed
-    if extra:
-        raise ValueError(f"scenario has unexpected keys {sorted(extra)}")
-    if kind not in data:
-        raise ValueError(f"scenario is missing its {kind!r} parameter block")
-    if "inequality" in data and data["inequality"] not in INEQUALITY_IDS:
-        raise ValueError(
-            f"scenario inequality must be one of {INEQUALITY_IDS}, got {data['inequality']!r}"
-        )
-    if "tolerance" in data:
-        _checked_tolerance(data["tolerance"], "scenario tolerance")
-    block = data[kind]
-    if not isinstance(block, dict):
-        raise ValueError(f"the {kind!r} parameter block must be a JSON object")
-    if kind == "epr":
-        keys = set(block)
-        variants = {"angles_deg", "vectors", "dots"}
-        chosen = keys & variants
-        if len(chosen) != 1 or keys - variants:
-            raise ValueError(
-                "the epr block must hold exactly one of angles_deg (4 planar angles), "
-                "vectors (4 unit vectors), or dots (6 dot products)"
-            )
-        which = chosen.pop()
-        if which == "angles_deg":
-            _expect_numbers(block[which], "epr angles_deg", 4)
-        elif which == "dots":
-            _expect_numbers(block[which], "epr dots", 6)
-        else:
-            rows = block[which]
-            if not isinstance(rows, list) or len(rows) != 4:
-                raise ValueError("epr vectors must be a list of 4 vectors")
-            for row in rows:
-                _expect_numbers(row, "epr vector", 3)
-    elif kind == "ghz":
-        if set(block) != {"angles_deg"}:
-            raise ValueError("the ghz block must hold exactly the key angles_deg")
-        _expect_numbers(block["angles_deg"], "ghz angles_deg", 4)
-    elif kind == "profile":
-        if set(block) != set(PROFILE_KEYS):
-            raise ValueError(f"the profile block must hold exactly the keys {PROFILE_KEYS}")
-        for key in PROFILE_KEYS:
-            value = block[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"profile field {key} must be a number")
-    else:
-        LhvModel.from_dict(block)  # raises ValueError with specifics
-
-
 def _inequality_for_scenario(data: dict, override: str | None) -> str:
     inequality_id = override or data.get("inequality")
     if inequality_id is None:
         raise ValueError("no inequality requested: set it in the scenario or pass --inequality")
     inequality_kernel(inequality_id, data["kind"])
     return inequality_id
-
-
-def _scenario_profile(data: dict) -> tuple[CorrelationProfile, dict | None, dict]:
-    """Build the profile for a scenario; returns (profile, realizability, angle echo)."""
-    kind = data["kind"]
-    block = data[kind]
-    if kind == "epr":
-        if "angles_deg" in block:
-            degs = [float(v) for v in block["angles_deg"]]
-            directions = planar([math.radians(v) for v in degs])
-            profile = epr_profile(*directions)
-            report = realizability_report(gram_of(*directions))
-            echo = {"angles_deg": degs, "angles_rad": [math.radians(v) for v in degs]}
-            return profile, report, echo
-        if "vectors" in block:
-            directions = tuple(Direction(*(float(v) for v in row)) for row in block["vectors"])
-            profile = epr_profile(*directions)
-            report = realizability_report(gram_of(*directions))
-            return profile, report, {}
-        dots = DotProductConfig.from_sequence(block["dots"])
-        # raw dot products may be unrealizable, so only the closed form applies
-        return epr_profile_from_dots(dots), realizability_report(dots), {}
-    if kind == "ghz":
-        degs = [float(v) for v in block["angles_deg"]]
-        rads = [math.radians(v) for v in degs]
-        return ghz_profile(*rads), None, {"angles_deg": degs, "angles_rad": rads}
-    if kind == "profile":
-        return CorrelationProfile(**{key: block[key] for key in PROFILE_KEYS}), None, {}
-    return lhv_profile(LhvModel.from_dict(block)), None, {}
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +282,10 @@ def _json_text(report: dict) -> str:
 
 
 def cmd_evaluate(args) -> tuple[str, int]:
-    data = load_scenario(args.scenario)
+    data, _, build = load_scenario(args.scenario)
     inequality_id = _inequality_for_scenario(data, args.inequality)
     tolerance = _effective_tolerance(args.tolerance, data.get("tolerance"))
-    profile, realizability, echo = _scenario_profile(data)
+    profile, realizability, echo = build()
     verdict = verdict_for_profile(profile, inequality_id, tolerance)
     report = {
         "command": "evaluate",
@@ -312,88 +302,61 @@ def cmd_evaluate(args) -> tuple[str, int]:
 
 def cmd_reproduce(args) -> tuple[str, int]:
     tolerance = _effective_tolerance(args.tolerance, None)
-    if args.target == "epr":
-        report = _reproduce_epr(tolerance)
-    else:
-        report = _reproduce_ghz(tolerance)
-    return _json_text(report), EXIT_OK
+    reproduce = _reproduce_epr if args.target == "epr" else _reproduce_ghz
+    return _json_text(reproduce(tolerance)), EXIT_OK
+
+
+def _discrepancies(target: str, general, published_lhs: float, published_rhs: float) -> list:
+    sides = (("lhs", published_lhs, general.lhs), ("rhs", published_rhs, general.rhs))
+    return [
+        {"location": f"{target} general {side}", "published_value": published,
+         "computed_value": computed}
+        for side, published, computed in sides
+    ]
+
+
+def _reference_report(target: str, profile, tolerance: float, head: dict, tail: dict) -> dict:
+    """Both verdicts of the target's family, with the target's own blocks around them."""
+    df = verdict_for_profile(profile, f"{target}_dispersion_free", tolerance)
+    general = verdict_for_profile(profile, f"{target}_general", tolerance)
+    return {
+        "command": "reproduce",
+        "target": target,
+        **head,
+        "tolerance": tolerance,
+        "profile": profile.as_dict(),
+        "verdicts": [df.as_dict(), general.as_dict()],
+        **tail,
+        "discrepancies": _discrepancies(target, general, *PUBLISHED_GENERAL[target]),
+    }
 
 
 def _reproduce_epr(tolerance: float) -> dict:
     angles = REFERENCE_EPR_DOT_ANGLES_DEG
-    dots = DotProductConfig(
-        **{name: math.cos(math.radians(deg)) for name, deg in angles.items()}
-    )
-    profile = epr_profile_from_dots(dots)
-    df = verdict_for_profile(profile, "epr_dispersion_free", tolerance)
-    general = verdict_for_profile(profile, "epr_general", tolerance)
-    return {
-        "command": "reproduce",
-        "target": "epr",
-        "dot_angles_deg": dict(angles),
-        "dot_products": {name: getattr(dots, name) for name in angles},
-        "tolerance": tolerance,
-        "profile": profile.as_dict(),
-        "verdicts": [df.as_dict(), general.as_dict()],
-        "realizability": realizability_report(dots),
-        "discrepancies": [
-            {
-                "location": "epr general lhs",
-                "published_value": PUBLISHED_EPR_GENERAL_LHS,
-                "computed_value": general.lhs,
-            },
-            {
-                "location": "epr general rhs",
-                "published_value": PUBLISHED_EPR_GENERAL_RHS,
-                "computed_value": general.rhs,
-            },
-        ],
-    }
+    dot_products = {name: math.cos(math.radians(deg)) for name, deg in angles.items()}
+    profile, realizability, _ = _dots_build(list(dot_products.values()))
+    head = {"dot_angles_deg": dict(angles), "dot_products": dot_products}
+    return _reference_report("epr", profile, tolerance, head, {"realizability": realizability})
 
 
 def _reproduce_ghz(tolerance: float) -> dict:
-    degs = REFERENCE_GHZ_ANGLES_DEG
-    rads = [math.radians(v) for v in degs]
-    profile = ghz_profile(*rads)
-    df = verdict_for_profile(profile, "ghz_dispersion_free", tolerance)
-    general = verdict_for_profile(profile, "ghz_general", tolerance)
+    _, build = _parse_ghz({"angles_deg": list(REFERENCE_GHZ_ANGLES_DEG)})
+    profile, _, echo = build()
     # the variant groups the combination as (A+B) with (C-D), which flips the
     # signs of E(A,D) and E(B,C); both groupings are reported so the published
     # reading stays inspectable
     variant = dataclasses.replace(profile, e_ad=-profile.e_ad, e_bc=-profile.e_bc)
-    variant_verdicts = {}
+    sign_variant = {
+        "note": "correlation combination grouped as (A+B),(C-D) instead of (A-B),(C+D)",
+        "combination": correlation_combination(
+            variant.e_ac, variant.e_ad, variant.e_bc, variant.e_bd
+        ),
+    }
     for inequality_id in ("dispersion_free", "general"):
         verdict = verdict_for_profile(variant, inequality_id, tolerance).as_dict()
         del verdict["inequality"]
-        variant_verdicts[inequality_id] = verdict
-    return {
-        "command": "reproduce",
-        "target": "ghz",
-        "angles_deg": list(degs),
-        "angles_rad": rads,
-        "tolerance": tolerance,
-        "profile": profile.as_dict(),
-        "verdicts": [df.as_dict(), general.as_dict()],
-        "sign_variant": {
-            "note": "correlation combination grouped as (A+B),(C-D) instead of (A-B),(C+D)",
-            "combination": correlation_combination(
-                variant.e_ac, variant.e_ad, variant.e_bc, variant.e_bd
-            ),
-            **variant_verdicts,
-        },
-        "discrepancies": [
-            {
-                "location": "ghz general lhs",
-                "published_value": PUBLISHED_GHZ_GENERAL_LHS,
-                "computed_value": general.lhs,
-            },
-            {
-                "location": "ghz general rhs",
-                "published_value": PUBLISHED_GHZ_GENERAL_RHS,
-                "computed_value": general.rhs,
-            },
-        ],
-    }
+        sign_variant[inequality_id] = verdict
+    return _reference_report("ghz", profile, tolerance, echo, {"sign_variant": sign_variant})
 
 
 def cmd_search(args) -> tuple[str, int]:
@@ -477,31 +440,18 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    data = load_scenario(args.scenario)
-    kind = data["kind"]
-    if kind == "ghz":
-        base_deg = [float(v) for v in data["ghz"]["angles_deg"]]
-        space = parameter_space("ghz_angles")
-    elif kind == "epr" and "angles_deg" in data["epr"]:
-        base_deg = [float(v) for v in data["epr"]["angles_deg"]]
-        space = parameter_space("planar_epr")
-    else:
+    data, base_deg, _ = load_scenario(args.scenario)
+    if base_deg is None:
         raise ValueError(
             "sweep needs an angle-parameterized scenario: kind ghz, or kind epr with angles_deg"
         )
+    space = parameter_space(SCENARIOS[data["kind"]][1])
     inequality_id = _inequality_for_scenario(data, args.inequality)
     tolerance = _effective_tolerance(args.tolerance, data.get("tolerance"))
     lo_deg, hi_deg = _parse_range(args.sweep_range)
     base_rad = [math.radians(v) for v in base_deg]
-    rows = sweep(
-        inequality_id,
-        space,
-        base_rad,
-        args.axis,
-        (math.radians(lo_deg), math.radians(hi_deg)),
-        args.steps,
-        tolerance,
-    )
+    span_rad = (math.radians(lo_deg), math.radians(hi_deg))
+    rows = sweep(inequality_id, space, base_rad, args.axis, span_rad, args.steps, tolerance)
     coords_deg = np.linspace(lo_deg, hi_deg, args.steps)
     if args.out_format == "csv":
         lines = ["coord,lhs,rhs,margin"]
@@ -532,12 +482,8 @@ def cmd_sweep(args) -> tuple[str, int]:
 
 def _checked_tolerance(value, source: str) -> float:
     """A tolerance must be a finite positive number: an infinite one hides every violation."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        # also refuses nan and any int too large for a float
-        or not 0.0 < value <= sys.float_info.max
-    ):
+    # the range test also refuses nan and any int too large for a float
+    if not _is_number(value) or not 0.0 < value <= sys.float_info.max:
         raise ValueError(f"{source} must be a finite positive number, got {value!r}")
     return float(value)
 

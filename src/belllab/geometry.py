@@ -41,13 +41,6 @@ class Direction:
         """Direction at angle theta (radians) in the x-y plane."""
         return cls(float(np.cos(theta)), float(np.sin(theta)), 0.0)
 
-    @classmethod
-    def normalized(cls, x: float, y: float, z: float) -> "Direction":
-        norm = math.sqrt(x * x + y * y + z * z)
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(x / norm, y / norm, z / norm)
-
     def dot(self, other: "Direction") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
@@ -80,17 +73,6 @@ class DotProductConfig:
             raise ValueError(f"expected 6 dot products (ab, ac, ad, bc, bd, cd), got {len(values)}")
         return cls(*(float(v) for v in values))
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, tol: float = 1e-9) -> "DotProductConfig":
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"Gram matrix must be 4x4, got shape {m.shape}")
-        if np.max(np.abs(m - m.T)) > tol:
-            raise ValueError("Gram matrix must be symmetric")
-        if np.max(np.abs(np.diag(m) - 1.0)) > tol:
-            raise ValueError("Gram matrix of unit vectors must have unit diagonal")
-        return cls(m[0, 1], m[0, 2], m[0, 3], m[1, 2], m[1, 3], m[2, 3])
-
     def matrix(self) -> np.ndarray:
         return np.array(
             [
@@ -113,36 +95,19 @@ def gram_of(a: Direction, b: Direction, c: Direction, d: Direction) -> DotProduc
     )
 
 
-def _as_config(config) -> DotProductConfig:
-    if isinstance(config, DotProductConfig):
-        return config
-    return DotProductConfig.from_matrix(np.asarray(config, dtype=float))
-
-
-def gram_eigenvalues(config) -> np.ndarray:
-    """Eigenvalues of the 4x4 Gram matrix, sorted descending.
-
-    Accepts a DotProductConfig or anything from_matrix accepts.
-    """
-    return np.linalg.eigvalsh(_as_config(config).matrix())[::-1]
-
-
-def realizable(config: DotProductConfig, tol: float = PSD_EIG_TOL) -> bool:
-    """True iff the Gram matrix is positive semidefinite (smallest eigenvalue >= -tol).
-
-    PSD means some set of four unit vectors produces these dot products in at
-    most four dimensions; see realizability_report for the dimension split.
-    """
-    eigenvalues = gram_eigenvalues(config)
-    return bool(eigenvalues[-1] >= -tol)
+def gram_eigenvalues(config: DotProductConfig) -> np.ndarray:
+    """Eigenvalues of the 4x4 Gram matrix, sorted descending."""
+    return np.linalg.eigvalsh(config.matrix())[::-1]
 
 
 def realizability_report(config: DotProductConfig, tol: float = PSD_EIG_TOL) -> dict:
     """Classify a dot-product configuration by PSD status and required dimension.
 
-    rank counts eigenvalues above tol.  A PSD Gram of rank r is realizable by
-    unit vectors in r dimensions and no fewer, so rank 4 configurations are
-    flagged dim4_only: they cannot come from actual spatial directions.
+    psd (smallest eigenvalue >= -tol) means some set of four unit vectors
+    produces these dot products in at most four dimensions.  rank counts
+    eigenvalues above tol.  A PSD Gram of rank r is realizable by unit vectors
+    in r dimensions and no fewer, so rank 4 configurations are flagged
+    dim4_only: they cannot come from actual spatial directions.
     """
     eigenvalues = gram_eigenvalues(config)
     psd = bool(eigenvalues[-1] >= -tol)

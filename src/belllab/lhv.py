@@ -11,6 +11,7 @@ inspected and not just asserted.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,6 +21,9 @@ from .inequalities import CorrelationProfile
 
 WEIGHT_SUM_TOL = 1e-12
 DISPERSION_TOL = 1e-12
+
+#: Most hidden points random_model draws, so its memory is bounded before it starts.
+MAX_MODEL_POINTS = 1_000_000
 
 #: Quadratic-form vectors of the general bound: u picks A - B, v picks C + D.
 _SCHWARZ_U = np.array([1.0, -1.0, 0.0, 0.0])
@@ -171,10 +175,13 @@ def random_model(seed: int, n_points: int, bound: float) -> LhvModel:
     The draw order (weights, then tables A..D) is fixed, so one seed always
     yields one model.
     """
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1")
+    if not 1 <= n_points <= MAX_MODEL_POINTS:
+        raise ValueError(f"n_points must lie between 1 and {MAX_MODEL_POINTS}, got {n_points}")
     if not bound > 0.0:
         raise ValueError("bound must be positive")
+    # the draw needs the width 2 * bound of [-bound, bound] as a finite float
+    if not bound <= sys.float_info.max / 2.0:
+        raise ValueError(f"bound {bound!r} is too large: the width of [-bound, bound] overflows")
     rng = np.random.default_rng(seed)
     weights = rng.random(n_points)
     weights = weights / weights.sum()

@@ -161,6 +161,9 @@ def grid_search(
     kernel = inequality_kernel(inequality_id, space.family)
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
+    # messages name the resolution in degrees, the unit the command line takes;
+    # rounding to 12 digits drops the conversion's roundoff
+    degrees = float(f"{math.degrees(resolution):.12g}")
     sizes = []
     for (lo, hi), wrapped in zip(space.bounds, space.wrap):
         # clamped so a resolution too fine for any float count reaches the size check
@@ -169,13 +172,13 @@ def grid_search(
         sizes.append(steps if wrapped else steps + 1)
         if sizes[-1] < 2:
             raise ValueError(
-                f"resolution {resolution!r} leaves fewer than 2 lattice steps on "
-                f"interval ({lo!r}, {hi!r})"
+                f"resolution {degrees!r} degrees leaves fewer than 2 lattice steps on "
+                f"interval ({math.degrees(lo)!r}, {math.degrees(hi)!r}) degrees"
             )
     total = math.prod(sizes)
     if total > MAX_LATTICE_POINTS:
         raise ValueError(
-            f"resolution {resolution!r} needs at least {total} lattice points, "
+            f"resolution {degrees!r} degrees needs at least {total} lattice points, "
             f"more than the {MAX_LATTICE_POINTS} one scan may cover"
         )
     axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]

@@ -310,24 +310,67 @@ def test_scenario_parse_error_reports_line(capsys, tmp_path):
     assert f"{path}:3:" in err
 
 
+_ZERO_PROFILE = dict.fromkeys(cli.PROFILE_KEYS, 0.0)
+_EPR_BLOCK_SHAPES = (
+    "the epr block must hold exactly one of angles_deg (4 planar angles), "
+    "vectors (4 unit vectors), or dots (6 dot products)"
+)
+
+
 def test_scenario_schema_errors(capsys, tmp_path):
     cases = [
-        {"kind": "nope"},
-        {"kind": "ghz", "ghz": {"angles_deg": [1, 2, 3]}},
-        {"kind": "ghz", "ghz": {"angles_deg": [1, 2, 3, "x"]}},
-        {"kind": "ghz", "ghz": {"angles_deg": [1, 2, 3, 4], "extra": 1}},
-        {"kind": "epr", "epr": {}},
-        {"kind": "epr", "epr": {"dots": [0, 0, 0], "angles_deg": [0, 0, 0, 0]}},
-        {"kind": "profile", "profile": {"e_ac": 0.0}},
-        {"kind": "ghz", "ghz": {"angles_deg": [1, 2, 3, 4]}, "surprise": True},
-        {"kind": "lhv", "lhv": {"weights": [1.0], "A": [0.0], "B": [0.0], "C": [0.0]}},
+        ({"kind": "nope"},
+         "scenario kind must be one of ('epr', 'ghz', 'profile', 'lhv'), got 'nope'"),
+        ({"kind": ["ghz"], "ghz": {"angles_deg": [1, 2, 3, 4]}},
+         "scenario kind must be one of ('epr', 'ghz', 'profile', 'lhv'), got ['ghz']"),
+        ({"kind": "ghz", "ghz": {"angles_deg": [1, 2, 3]}},
+         "ghz angles_deg must hold exactly 4 numbers, got 3"),
+        ({"kind": "ghz", "ghz": {"angles_deg": [1, 2, 3, "x"]}},
+         "ghz angles_deg must hold only numbers"),
+        ({"kind": "ghz", "ghz": {"angles_deg": [1, 2, 3, 4], "extra": 1}},
+         "the ghz block must hold exactly the key angles_deg"),
+        ({"kind": "ghz", "ghz": [45, 60, 120, 150]},
+         "the 'ghz' parameter block must be a JSON object"),
+        ({"kind": "epr", "epr": {}}, _EPR_BLOCK_SHAPES),
+        ({"kind": "epr", "epr": {"dots": [0, 0, 0], "angles_deg": [0, 0, 0, 0]}},
+         _EPR_BLOCK_SHAPES),
+        ({"kind": "epr", "epr": {"angles_deg": 45}}, "epr angles_deg must be a list of numbers"),
+        ({"kind": "epr", "epr": {"vectors": [[1, 1, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0]]}},
+         "direction must have unit length, got |v|^2 = 2.0"),
+        ({"kind": "epr", "epr": {"vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+         "epr vectors must be a list of 4 vectors"),
+        ({"kind": "epr", "epr": {"vectors": [[1, 0, 0], [0, 1], [0, 0, 1], [-1, 0, 0]]}},
+         "epr vector must hold exactly 3 numbers, got 2"),
+        ({"kind": "epr", "epr": {"dots": [0.5, 1.5, 0, 0, 0, 0]}},
+         "dot product ac = 1.5 is outside [-1, 1]"),
+        ({"kind": "epr", "epr": {"dots": [0, 0, 0, 0, 0]}},
+         "epr dots must hold exactly 6 numbers, got 5"),
+        ({"kind": "profile", "profile": {"e_ac": 0.0}},
+         f"the profile block must hold exactly the keys {cli.PROFILE_KEYS}"),
+        ({"kind": "profile", "profile": dict(_ZERO_PROFILE, var_b=-1.0)},
+         "variance var_b must be nonnegative, got -1.0"),
+        ({"kind": "profile", "profile": dict(_ZERO_PROFILE, e_bd=True)},
+         "profile field e_bd must be a number"),
+        ({"kind": "ghz", "ghz": {"angles_deg": [1, 2, 3, 4]}, "surprise": True},
+         "scenario has unexpected keys ['surprise']"),
+        ({"kind": "lhv", "lhv": {"weights": [1.0], "A": [0.0], "B": [0.0], "C": [0.0]}},
+         "hidden-variable model is missing keys ['D']"),
+        ({"kind": "lhv", "lhv": {"weights": [0.5, 0.6], "A": [1, -1], "B": [1, -1],
+                                 "C": [1, -1], "D": [1, -1]}},
+         "weights must sum to 1 within 1e-12, got 1.1"),
+        # the inequality is checked before the profile is built, so a second
+        # fault in the parameter values is not the one reported
+        ({"kind": "epr", "inequality": "ghz_general",
+          "epr": {"vectors": [[1, 1, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0]]}},
+         "inequality 'ghz_general' applies to ghz states, not 'epr'"),
     ]
-    for index, payload in enumerate(cases):
-        payload = dict(payload, inequality="general")
+    for index, (payload, message) in enumerate(cases):
+        payload = {"inequality": "general", **payload}
         path = write_scenario(tmp_path, f"bad{index}.json", payload)
         code, out, err = run(capsys, "evaluate", "--scenario", path)
         assert code == 1, payload
-        assert err != ""
+        assert out == ""
+        assert err == f"error: {message}\n", payload
 
 
 def test_missing_scenario_file(capsys):
@@ -406,11 +449,21 @@ def test_search_space_mismatch_exits_one(capsys):
 
 
 def test_search_refuses_a_lattice_beyond_the_limit(capsys):
-    # vectors3d at the default 5 degrees is 6.995e11 points, about ten hours
-    code, out, err = run(capsys, "search", "--inequality", "general", "--space", "vectors3d")
-    assert code == 1
-    assert out == ""
-    assert "699526844928 lattice points" in err
+    # the messages name the resolution in degrees, as it was given
+    cases = [
+        # vectors3d at the default 5 degrees is 6.995e11 points, about ten hours
+        (["--space", "vectors3d"],
+         "resolution 5.0 degrees needs at least 699526844928 lattice points, "
+         "more than the 10000000000 one scan may cover"),
+        (["--space", "planar-epr", "--resolution", "400"],
+         "resolution 400.0 degrees leaves fewer than 2 lattice steps on "
+         "interval (0.0, 360.0) degrees"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, "search", "--inequality", "general", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_lhv_check_passes(capsys):
@@ -421,6 +474,18 @@ def test_lhv_check_passes(capsys):
     assert report["violations"] == 0
     assert report["max_margin"] <= 1e-9
     assert 3 <= report["max_margin_seed"] < 53
+
+
+def test_lhv_check_refuses_draws_it_cannot_make(capsys):
+    for argv, message in [
+        (["--bound", "inf"], "bound inf is too large: the width of [-bound, bound] overflows"),
+        (["--bound", "1e308"], "bound 1e+308 is too large: the width of [-bound, bound] overflows"),
+        (["--points", "100000000000"], "n_points must lie between 1 and 1000000, got 100000000000"),
+    ]:
+        code, out, err = run(capsys, "lhv-check", "--models", "2", *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_lhv_check_failure_exits_two(capsys, monkeypatch):
@@ -496,6 +561,27 @@ def test_sweep_json_output(capsys, tmp_path):
     assert report["series"][-1]["coord_deg"] == 180.0
     row = report["series"][2]
     assert row["margin"] == pytest.approx(row["lhs"] - row["rhs"], abs=1e-12)
+
+
+def test_sweep_builds_no_profile(capsys, tmp_path, monkeypatch):
+    # a sweep evaluates its own lattice of angles; the scenario's profile is never needed
+    def boom(*args, **kwargs):
+        raise AssertionError("sweep built the scenario profile")
+
+    for name in ("ghz_profile", "epr_profile", "realizability_report"):
+        monkeypatch.setattr(cli, name, boom)
+    for kind, angles in (("ghz", [45, 60, 120, 150]), ("epr", [0, 45, 90, 135])):
+        path = write_scenario(
+            tmp_path,
+            f"{kind}.json",
+            {"kind": kind, "inequality": "general", kind: {"angles_deg": angles}},
+        )
+        code, out, err = run(
+            capsys, "sweep", "--scenario", path, "--axis", "1", "--range", "0:90", "--steps", "4"
+        )
+        assert code == 0, kind
+        assert err == ""
+        assert len(out.splitlines()) == 5
 
 
 def test_sweep_rejects_non_angle_scenarios(capsys, tmp_path):

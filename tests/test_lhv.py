@@ -1,6 +1,7 @@
 """Finite weighted hidden-variable models and the Schwarz mechanism."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from belllab.inequalities import verdict_for_profile
 from belllab.lhv import (
+    MAX_MODEL_POINTS,
     LhvModel,
     is_dispersion_free,
     lhv_covariance_matrix,
@@ -206,6 +208,17 @@ def test_random_model_validates_arguments():
         random_model(0, 0, 1.0)
     with pytest.raises(ValueError):
         random_model(0, 4, 0.0)
+    # refused before any draw: the width 2 * bound overflows, or the tables
+    # would not fit in memory
+    for bound in (math.inf, 1e308, math.nan, 10**400):
+        with pytest.raises(ValueError, match="bound"):
+            random_model(0, 4, bound)
+    for n_points in (MAX_MODEL_POINTS + 1, 100_000_000_000):
+        with pytest.raises(ValueError, match="n_points must lie between 1 and 1000000"):
+            random_model(0, n_points, 1.0)
+    # the widest finite interval still draws
+    widest = random_model(0, 4, sys.float_info.max / 2.0)
+    assert np.all(np.isfinite(widest.a))
 
 
 def test_mirrored_sign_model_reaches_chsh_bound():
