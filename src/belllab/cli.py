@@ -44,7 +44,7 @@ from .inequalities import (
 )
 from .lhv import LhvModel, lhv_profile, random_model
 from .quantum import epr_profile, ghz_profile
-from .search import grid_search, parameter_space, refine, sweep
+from .search import REFINE_SHRINK, grid_search, parameter_space, refine, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -195,8 +195,28 @@ def _parse_profile(block: dict):
     return None, lambda: (CorrelationProfile(**block), None, {})
 
 
+LHV_TABLE_KEYS = ("A", "B", "C", "D")
+
+
 def _parse_lhv(block: dict):
-    model = LhvModel.from_dict(block)  # raises ValueError with specifics
+    required = {"weights", *LHV_TABLE_KEYS}
+    missing = required - block.keys()
+    if missing:
+        raise ValueError(f"hidden-variable model is missing keys {sorted(missing)}")
+    extra = block.keys() - required - {"bound"}
+    if extra:
+        raise ValueError(f"hidden-variable model has unexpected keys {sorted(extra)}")
+    weights = block["weights"]
+    size = len(weights) if isinstance(weights, list) else 0
+    weights = _expect_numbers(weights, "lhv weights", size)
+    tables = [_expect_numbers(block[key], f"lhv table {key}", size) for key in LHV_TABLE_KEYS]
+    bound = block.get("bound", math.inf)  # undeclared: every finite table fits
+    if not (_is_number(bound) and bound > 0):
+        raise ValueError(f"lhv bound must be a number above 0, got {bound!r}")
+    model = LhvModel(weights, tables)  # checks the weights now, before the inequality
+    for key, peak in zip(LHV_TABLE_KEYS, np.max(np.abs(model.tables), axis=1)):
+        if peak > bound + 1e-12:
+            raise ValueError(f"table {key} exceeds declared bound {float(bound)!r}")
     return None, lambda: (lhv_profile(model), None, {})
 
 
@@ -377,12 +397,12 @@ def cmd_search(args) -> tuple[str, int]:
         initial_step = resolution / 2.0
         min_step = resolution / 4096.0
         refined = refine(
-            args.inequality, space, grid.best_params, initial_step, 0.5, min_step, tolerance
+            args.inequality, space, grid.best_params, initial_step, min_step, tolerance
         )
         report["refine"] = {
             **_search_result_dict(refined),
             "initial_step_deg": math.degrees(initial_step),
-            "shrink": 0.5,
+            "shrink": REFINE_SHRINK,
             "min_step_deg": math.degrees(min_step),
         }
     return _json_text(report), EXIT_OK
@@ -400,6 +420,8 @@ def _search_result_dict(result) -> dict:
 def cmd_lhv_check(args) -> tuple[str, int]:
     if args.models < 1:
         raise ValueError("--models must be at least 1")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     tolerance = _effective_tolerance(args.tolerance, None)
     max_margin = -math.inf
     max_margin_seed = args.seed

@@ -100,23 +100,24 @@ def gram_eigenvalues(config: DotProductConfig) -> np.ndarray:
     return np.linalg.eigvalsh(config.matrix())[::-1]
 
 
-def realizability_report(config: DotProductConfig, tol: float = PSD_EIG_TOL) -> dict:
+def realizability_report(config: DotProductConfig) -> dict:
     """Classify a dot-product configuration by PSD status and required dimension.
 
-    psd (smallest eigenvalue >= -tol) means some set of four unit vectors
-    produces these dot products in at most four dimensions.  rank counts
-    eigenvalues above tol.  A PSD Gram of rank r is realizable by unit vectors
-    in r dimensions and no fewer, so rank 4 configurations are flagged
-    dim4_only: they cannot come from actual spatial directions.
+    psd (smallest eigenvalue >= -PSD_EIG_TOL) means some set of four unit
+    vectors produces these dot products in at most four dimensions.  rank
+    counts eigenvalues above PSD_EIG_TOL.  A PSD Gram of rank r is
+    realizable by unit vectors in r dimensions and no fewer, so rank 4
+    configurations are flagged dim4_only: they cannot come from actual
+    spatial directions.
     """
     eigenvalues = gram_eigenvalues(config)
-    psd = bool(eigenvalues[-1] >= -tol)
-    rank = int(np.count_nonzero(eigenvalues > tol))
+    psd = bool(eigenvalues[-1] >= -PSD_EIG_TOL)
+    rank = int(np.count_nonzero(eigenvalues > PSD_EIG_TOL))
     return {
         "eigenvalues": [float(v) for v in eigenvalues],
         "psd": psd,
         "rank": rank,
         "realizable_3d": psd and rank <= 3,
         "dim4_only": psd and rank == 4,
-        "tolerance": float(tol),
+        "tolerance": PSD_EIG_TOL,
     }

@@ -79,17 +79,6 @@ def _check_dims(state: np.ndarray, op: np.ndarray) -> None:
         raise ValueError(f"operator shape {op.shape} does not match state dimension {state.size}")
 
 
-def expectation(state: np.ndarray, op: np.ndarray) -> float:
-    """<psi|O|psi> for a Hermitian operator, returned as a real number."""
-    state = np.asarray(state, dtype=complex)
-    op = np.asarray(op, dtype=complex)
-    _check_dims(state, op)
-    value = complex(np.vdot(state, op @ state))
-    if abs(value.imag) > IMAG_TOL:
-        raise NumericsError(f"expectation has imaginary residue {value.imag!r}")
-    return value.real
-
-
 def covariance_matrix(state: np.ndarray, ops) -> np.ndarray:
     """Symmetrized covariance matrix Re<O_j O_k> - <O_j><O_k> of Hermitian observables.
 

@@ -39,6 +39,9 @@ BLOCK_SIZE = 262144
 #: Most accepted moves per refinement step size.
 MAX_MOVES_PER_LEVEL = 100000
 
+#: Factor refinement multiplies its step by when a step size is exhausted.
+REFINE_SHRINK = 0.5
+
 #: Most points one sweep tabulates, so a sweep's memory is bounded before it starts.
 MAX_SWEEP_STEPS = 1_000_000
 
@@ -231,7 +234,6 @@ def refine(
     space: ParameterSpace,
     start,
     initial_step: float,
-    shrink: float,
     min_step: float,
     tolerance: float = VIOLATION_TOL,
 ) -> SearchResult:
@@ -240,12 +242,10 @@ def refine(
     Probes +step then -step along each coordinate in order and accepts the
     first strict margin improvement, restarting the sweep; when a full sweep
     yields no improvement, or MAX_MOVES_PER_LEVEL moves were accepted, the
-    step shrinks.  Terminates once the step falls below min_step; a starting
-    step not above min_step returns the start unchanged.  The accepted-margin
-    trace is monotone by construction.
+    step shrinks by the factor REFINE_SHRINK.  Terminates once the step falls
+    below min_step; a starting step not above min_step returns the start
+    unchanged.  The accepted-margin trace is monotone by construction.
     """
-    if not (0.0 < shrink < 1.0):
-        raise ValueError("shrink must lie strictly between 0 and 1")
     if not initial_step > 0.0 or not min_step > 0.0:
         raise ValueError("steps must be positive")
     current = tuple(float(v) for v in start)
@@ -280,7 +280,7 @@ def refine(
                         break
                 if improved:
                     break
-        step *= shrink
+        step *= REFINE_SHRINK
     return SearchResult(current, verdict, evaluations)
 
 

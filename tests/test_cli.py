@@ -311,6 +311,7 @@ def test_scenario_parse_error_reports_line(capsys, tmp_path):
 
 
 _ZERO_PROFILE = dict.fromkeys(cli.PROFILE_KEYS, 0.0)
+_LHV_BLOCK = {"weights": [0.5, 0.5], "A": [1, -1], "B": [1, -1], "C": [1, -1], "D": [1, -1]}
 _EPR_BLOCK_SHAPES = (
     "the epr block must hold exactly one of angles_deg (4 planar angles), "
     "vectors (4 unit vectors), or dots (6 dot products)"
@@ -358,6 +359,21 @@ def test_scenario_schema_errors(capsys, tmp_path):
         ({"kind": "lhv", "lhv": {"weights": [0.5, 0.6], "A": [1, -1], "B": [1, -1],
                                  "C": [1, -1], "D": [1, -1]}},
          "weights must sum to 1 within 1e-12, got 1.1"),
+        # every weight, table entry and bound must be a JSON number
+        ({"kind": "lhv", "lhv": dict(_LHV_BLOCK, weights=["0.5", 0.5])},
+         "lhv weights must hold only numbers"),
+        ({"kind": "lhv", "lhv": dict(_LHV_BLOCK, A=[True, False])},
+         "lhv table A must hold only numbers"),
+        ({"kind": "lhv", "lhv": dict(_LHV_BLOCK, bound=True)},
+         "lhv bound must be a number above 0, got True"),
+        ({"kind": "lhv", "lhv": dict(_LHV_BLOCK, bound="2")},
+         "lhv bound must be a number above 0, got '2'"),
+        ({"kind": "lhv", "lhv": dict(_LHV_BLOCK, D=[1, -1, 0])},
+         "lhv table D must hold exactly 2 numbers, got 3"),
+        ({"kind": "lhv", "lhv": dict(_LHV_BLOCK, C=[1, -2.5], bound=2)},
+         "table C exceeds declared bound 2.0"),
+        ({"kind": "lhv", "lhv": dict(_LHV_BLOCK, E=[1, -1])},
+         "hidden-variable model has unexpected keys ['E']"),
         # the inequality is checked before the profile is built, so a second
         # fault in the parameter values is not the one reported
         ({"kind": "epr", "inequality": "ghz_general",
@@ -481,6 +497,7 @@ def test_lhv_check_refuses_draws_it_cannot_make(capsys):
         (["--bound", "inf"], "bound inf is too large: the width of [-bound, bound] overflows"),
         (["--bound", "1e308"], "bound 1e+308 is too large: the width of [-bound, bound] overflows"),
         (["--points", "100000000000"], "n_points must lie between 1 and 1000000, got 100000000000"),
+        (["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     ]:
         code, out, err = run(capsys, "lhv-check", "--models", "2", *argv)
         assert code == 1, argv

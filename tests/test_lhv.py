@@ -1,4 +1,4 @@
-"""Finite weighted hidden-variable models and the Schwarz mechanism."""
+"""Finite weighted hidden-variable models and the Schwarz mechanism behind the general bound."""
 
 import math
 import sys
@@ -8,42 +8,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belllab import cli
 from belllab.inequalities import verdict_for_profile
 from belllab.lhv import (
     MAX_MODEL_POINTS,
     LhvModel,
-    is_dispersion_free,
     lhv_covariance_matrix,
     lhv_profile,
     random_model,
-    schwarz_witness,
 )
 
-# two-point model with every moment easy to do by hand
-HAND_MODEL = LhvModel(
-    weights=[0.25, 0.75],
-    a=[1.0, -1.0],
-    b=[2.0, 0.0],
-    c=[0.0, 4.0],
-    d=[-1.0, 1.0],
-)
-
+# two-point model with every moment easy to do by hand, as a scenario block
+# and as the model it spells out (table rows A, B, C, D)
+HAND_BLOCK = {
+    "weights": [0.25, 0.75],
+    "A": [1.0, -1.0],
+    "B": [2.0, 0.0],
+    "C": [0.0, 4.0],
+    "D": [-1.0, 1.0],
+}
+HAND_MODEL = LhvModel(HAND_BLOCK["weights"], [HAND_BLOCK[key] for key in "ABCD"])
 
 HAND_SIGMA = lhv_covariance_matrix(HAND_MODEL)
+
+# quadratic-form vectors of the general bound: u picks A - B, v picks C + D;
+# u.S.v is the correlation combination and (u.S.v)^2 <= (u.S.u)(v.S.v) is the bound
+SCHWARZ_U = np.array([1.0, -1.0, 0.0, 0.0])
+SCHWARZ_V = np.array([0.0, 0.0, 1.0, 1.0])
+
+
+def parse_lhv(block):
+    """The lhv block parser of the scenario table; returns the built profile."""
+    _, build = cli.SCENARIOS["lhv"][0](block)
+    profile, _, _ = build()
+    return profile
 
 
 def test_mean_hand_computed():
     # the matrix is centered: removing the means (A: 0.25 - 0.75, C: 3) or
     # adding any constant to a table leaves it unchanged
-    centered = LhvModel(
-        weights=HAND_MODEL.weights,
-        a=HAND_MODEL.a - (0.25 - 0.75),
-        b=HAND_MODEL.b + 7.0,
-        c=HAND_MODEL.c - 3.0,
-        d=HAND_MODEL.d,
-    )
-    assert centered.weights @ centered.a == pytest.approx(0.0, abs=1e-15)
-    assert centered.weights @ centered.c == pytest.approx(0.0, abs=1e-15)
+    offsets = np.array([[0.25 - 0.75], [-7.0], [3.0], [0.0]])
+    centered = LhvModel(weights=HAND_MODEL.weights, tables=HAND_MODEL.tables - offsets)
+    assert centered.tables[0] @ centered.weights == pytest.approx(0.0, abs=1e-15)
+    assert centered.tables[2] @ centered.weights == pytest.approx(0.0, abs=1e-15)
     assert lhv_covariance_matrix(centered) == pytest.approx(HAND_SIGMA, abs=1e-15)
 
 
@@ -61,7 +68,7 @@ def test_covariance_hand_computed():
 
 def test_covariance_of_observable_with_itself_is_variance():
     weights = HAND_MODEL.weights
-    for k, table in enumerate((HAND_MODEL.a, HAND_MODEL.b, HAND_MODEL.c, HAND_MODEL.d)):
+    for k, table in enumerate(HAND_MODEL.tables):
         deviation = table - weights @ table
         assert HAND_SIGMA[k, k] == pytest.approx(weights @ (deviation * deviation), abs=1e-12)
     assert np.array_equal(HAND_SIGMA, HAND_SIGMA.T)
@@ -75,77 +82,95 @@ def test_profile_wires_fields_to_moments():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        LhvModel(weights=[0.5, 0.6], a=[0, 0], b=[0, 0], c=[0, 0], d=[0, 0])
-    with pytest.raises(ValueError):
-        LhvModel(weights=[-0.5, 1.5], a=[0, 0], b=[0, 0], c=[0, 0], d=[0, 0])
-    with pytest.raises(ValueError):
-        LhvModel(weights=[1.0], a=[0, 0], b=[0], c=[0], d=[0])
-    with pytest.raises(ValueError):
-        LhvModel(weights=[1.0], a=[math.nan], b=[0], c=[0], d=[0])
-    with pytest.raises(ValueError):
-        LhvModel(weights=[], a=[], b=[], c=[], d=[])
+    zeros = [[0, 0]] * 4
+    with pytest.raises(ValueError, match="weights must sum to 1"):
+        LhvModel(weights=[0.5, 0.6], tables=zeros)
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        LhvModel(weights=[-0.5, 1.5], tables=zeros)
+    with pytest.raises(ValueError, match=r"need \(4, 1\)"):
+        LhvModel(weights=[1.0], tables=[[0, 0], [0, 0], [0, 0], [0, 0]])
+    with pytest.raises(ValueError, match=r"need \(4, 2\)"):
+        LhvModel(weights=[0.5, 0.5], tables=[[0, 0]] * 3)
+    with pytest.raises(ValueError, match="not numeric"):
+        LhvModel(weights=[1.0], tables=[[0, 0], [0], [0], [0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        LhvModel(weights=[1.0], tables=[[math.nan], [0], [0], [0]])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        LhvModel(weights=[[1.0]], tables=[[0], [0], [0], [0]])
+    with pytest.raises(ValueError, match="at least one hidden point"):
+        LhvModel(weights=[], tables=np.empty((4, 0)))
 
 
 def test_model_bound_is_enforced():
-    LhvModel(weights=[1.0], a=[2.0], b=[0.0], c=[0.0], d=[0.0], bound=2.0)
-    with pytest.raises(ValueError):
-        LhvModel(weights=[1.0], a=[2.1], b=[0.0], c=[0.0], d=[0.0], bound=2.0)
-    with pytest.raises(ValueError):
-        LhvModel(weights=[1.0], a=[0.0], b=[0.0], c=[0.0], d=[0.0], bound=-1.0)
+    def block(a, bound):
+        return {"weights": [1.0], "A": [a], "B": [0.0], "C": [0.0], "D": [0.0], "bound": bound}
+
+    parse_lhv(block(2.0, 2.0))
+    parse_lhv(block(-2.0, 2))
+    with pytest.raises(ValueError, match=r"^table A exceeds declared bound 2.0$"):
+        parse_lhv(block(2.1, 2))
+    with pytest.raises(ValueError, match=r"^table A exceeds declared bound 2.0$"):
+        parse_lhv(block(-2.1, 2.0))
+    for bound in (-1.0, 0, True, "2", None, [2.0]):
+        with pytest.raises(ValueError, match="lhv bound must be a number above 0"):
+            parse_lhv(block(0.0, bound))
 
 
 def test_model_tables_are_read_only():
-    model = LhvModel(weights=[1.0], a=[1.0], b=[1.0], c=[1.0], d=[1.0])
+    model = LhvModel(weights=[1.0], tables=[[1.0], [1.0], [1.0], [1.0]])
     with pytest.raises(ValueError):
-        model.a[0] = 5.0
+        model.tables[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        model.weights[0] = 0.5
 
 
 def test_dict_round_trip():
-    data = HAND_MODEL.to_dict()
-    again = LhvModel.from_dict(data)
-    assert np.array_equal(again.weights, HAND_MODEL.weights)
-    assert np.array_equal(again.c, HAND_MODEL.c)
+    # the scenario block builds the same model as the arrays it spells out
+    assert parse_lhv(HAND_BLOCK) == lhv_profile(HAND_MODEL)
+    assert parse_lhv({**HAND_BLOCK, "bound": 4}) == lhv_profile(HAND_MODEL)
 
 
 def test_from_dict_rejects_missing_and_extra_keys():
-    good = HAND_MODEL.to_dict()
-    missing = dict(good)
+    missing = dict(HAND_BLOCK)
     del missing["C"]
-    with pytest.raises(ValueError):
-        LhvModel.from_dict(missing)
-    extra = dict(good)
-    extra["E"] = [0.0, 0.0]
-    with pytest.raises(ValueError):
-        LhvModel.from_dict(extra)
+    with pytest.raises(ValueError, match=r"^hidden-variable model is missing keys \['C'\]$"):
+        parse_lhv(missing)
+    extra = dict(HAND_BLOCK, E=[0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^hidden-variable model has unexpected keys \['E'\]$"):
+        parse_lhv(extra)
 
 
 def test_schwarz_witness_hand_model():
-    witness = schwarz_witness(HAND_MODEL)
     # u = (A - B) - mean(A - B); A - B = (-1, -1) so u = 0 identically
-    assert witness.norm_u == pytest.approx(0.0, abs=1e-15)
-    assert witness.inner == pytest.approx(0.0, abs=1e-15)
-    assert witness.norm_v > 0.0
+    assert SCHWARZ_U @ HAND_SIGMA @ SCHWARZ_U == pytest.approx(0.0, abs=1e-15)
+    assert SCHWARZ_U @ HAND_SIGMA @ SCHWARZ_V == pytest.approx(0.0, abs=1e-15)
+    assert SCHWARZ_V @ HAND_SIGMA @ SCHWARZ_V > 0.0
 
 
 def test_schwarz_inequality_holds_on_random_models():
     for seed in range(300):
-        model = random_model(seed, 8, 5.0)
-        witness = schwarz_witness(model)
-        assert witness.inner**2 <= witness.norm_u * witness.norm_v + 1e-9
-        assert witness.norm_u >= 0.0
-        assert witness.norm_v >= 0.0
+        sigma = lhv_covariance_matrix(random_model(seed, 8, 5.0))
+        inner = SCHWARZ_U @ sigma @ SCHWARZ_V
+        norm_u = SCHWARZ_U @ sigma @ SCHWARZ_U
+        norm_v = SCHWARZ_V @ sigma @ SCHWARZ_V
+        assert inner**2 <= norm_u * norm_v + 1e-9
+        assert norm_u >= 0.0
+        assert norm_v >= 0.0
 
 
 def test_witness_matches_profile_combination():
-    # inner equals the correlation combination, norms equal the bound factors
+    # u.S.v equals the correlation combination, the norms equal the bound factors
     model = random_model(123, 16, 3.0)
-    witness = schwarz_witness(model)
+    sigma = lhv_covariance_matrix(model)
     p = lhv_profile(model)
     combination = p.e_ac + p.e_ad - p.e_bc - p.e_bd
-    assert witness.inner == pytest.approx(combination, abs=1e-10)
-    assert witness.norm_u == pytest.approx(p.var_a + p.var_b - 2.0 * p.e_ab, abs=1e-10)
-    assert witness.norm_v == pytest.approx(p.var_c + p.var_d + 2.0 * p.e_cd, abs=1e-10)
+    assert SCHWARZ_U @ sigma @ SCHWARZ_V == pytest.approx(combination, abs=1e-10)
+    assert SCHWARZ_U @ sigma @ SCHWARZ_U == pytest.approx(
+        p.var_a + p.var_b - 2.0 * p.e_ab, abs=1e-10
+    )
+    assert SCHWARZ_V @ sigma @ SCHWARZ_V == pytest.approx(
+        p.var_c + p.var_d + 2.0 * p.e_cd, abs=1e-10
+    )
 
 
 def test_no_random_model_violates_general_bound():
@@ -162,8 +187,8 @@ def test_general_bound_holds_for_varied_shapes():
 
 
 def test_point_mass_model_is_dispersion_free():
-    model = LhvModel(weights=[1.0], a=[1.5], b=[-0.5], c=[2.0], d=[0.0])
-    assert is_dispersion_free(model)
+    model = LhvModel(weights=[1.0], tables=[[1.5], [-0.5], [2.0], [0.0]])
+    assert np.all(np.diag(lhv_covariance_matrix(model)) == 0.0)
     # all covariances vanish, so the dispersion-free bound saturates at zero
     profile = lhv_profile(model)
     assert profile.e_ac == 0.0
@@ -171,36 +196,32 @@ def test_point_mass_model_is_dispersion_free():
 
 
 def test_spread_model_is_not_dispersion_free():
-    assert not is_dispersion_free(HAND_MODEL)
+    assert np.all(np.diag(HAND_SIGMA) > 0.0)
 
 
 def test_constant_tables_are_dispersion_free_regardless_of_points():
     model = LhvModel(
         weights=[0.2, 0.3, 0.5],
-        a=[1.0, 1.0, 1.0],
-        b=[-2.0, -2.0, -2.0],
-        c=[0.5, 0.5, 0.5],
-        d=[0.0, 0.0, 0.0],
+        tables=[[1.0] * 3, [-2.0] * 3, [0.5] * 3, [0.0] * 3],
     )
-    assert is_dispersion_free(model)
+    assert np.diag(lhv_covariance_matrix(model)) == pytest.approx(np.zeros(4), abs=1e-12)
 
 
 def test_random_model_is_deterministic_per_seed():
     one = random_model(99, 12, 4.0)
     two = random_model(99, 12, 4.0)
     assert np.array_equal(one.weights, two.weights)
-    assert np.array_equal(one.a, two.a)
-    assert np.array_equal(one.d, two.d)
+    assert np.array_equal(one.tables, two.tables)
     other = random_model(100, 12, 4.0)
-    assert not np.array_equal(one.a, other.a)
+    assert not np.array_equal(one.tables[0], other.tables[0])
 
 
 def test_random_model_respects_requested_shape_and_bound():
     model = random_model(0, 7, 2.5)
-    assert model.n_points == 7
+    assert model.weights.shape == (7,)
+    assert model.tables.shape == (4, 7)
     assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    for table in (model.a, model.b, model.c, model.d):
-        assert np.all(np.abs(table) <= 2.5)
+    assert np.all(np.abs(model.tables) <= 2.5)
 
 
 def test_random_model_validates_arguments():
@@ -218,18 +239,12 @@ def test_random_model_validates_arguments():
             random_model(0, n_points, 1.0)
     # the widest finite interval still draws
     widest = random_model(0, 4, sys.float_info.max / 2.0)
-    assert np.all(np.isfinite(widest.a))
+    assert np.all(np.isfinite(widest.tables))
 
 
 def test_mirrored_sign_model_reaches_chsh_bound():
     # deterministic +/-1 strategy mirrored to zero means attains lhs = 2 exactly
-    model = LhvModel(
-        weights=[0.5, 0.5],
-        a=[1.0, -1.0],
-        b=[1.0, -1.0],
-        c=[1.0, -1.0],
-        d=[1.0, -1.0],
-    )
+    model = LhvModel(weights=[0.5, 0.5], tables=[[1.0, -1.0]] * 4)
     verdict = verdict_for_profile(lhv_profile(model), "chsh")
     assert verdict.lhs == pytest.approx(2.0, abs=1e-15)
     assert not verdict.violated
@@ -239,7 +254,7 @@ def test_common_offset_does_not_fake_a_violation():
     # tables near 1e8 make an uncentered covariance cancel 1e16-sized
     # products; A = B saturates the bound, so the exact margin is 0
     offset = [100000000.3, 99999999.9]
-    model = LhvModel(weights=[0.5, 0.5], a=offset, b=offset, c=[1.0, -1.0], d=[1.0, -1.0])
+    model = LhvModel(weights=[0.5, 0.5], tables=[offset, offset, [1.0, -1.0], [1.0, -1.0]])
     profile = lhv_profile(model)
     verdict = verdict_for_profile(profile, "general")
     assert not verdict.violated
@@ -259,7 +274,7 @@ def _offset_tables(draw):
         tables.append(offset + np.array(draw(noise)))
     if draw(st.booleans()):
         tables[1] = tables[0]
-    return LhvModel(weights, *tables)
+    return LhvModel(weights, np.array(tables))
 
 
 @settings(max_examples=300, deadline=None)

@@ -129,7 +129,7 @@ def test_search_spaces_admit_exactly_the_registry_pairs(kind, inequality_id):
     calls = {
         "grid_search": lambda: grid_search(inequality_id, space, math.pi / 2.0),
         "evaluate_point": lambda: evaluate_point(inequality_id, space, start),
-        "refine": lambda: refine(inequality_id, space, start, 0.1, 0.5, 0.05),
+        "refine": lambda: refine(inequality_id, space, start, 0.1, 0.05),
         "sweep": lambda: sweep(inequality_id, space, start, 0, (0.0, 1.0), 3),
     }
     for name, call in calls.items():
