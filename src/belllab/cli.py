@@ -473,7 +473,7 @@ def cmd_sweep(args) -> tuple[str, int]:
     lo_deg, hi_deg = _parse_range(args.sweep_range)
     base_rad = [math.radians(v) for v in base_deg]
     span_rad = (math.radians(lo_deg), math.radians(hi_deg))
-    rows = sweep(inequality_id, space, base_rad, args.axis, span_rad, args.steps, tolerance)
+    rows = sweep(inequality_id, space, base_rad, args.axis, span_rad, args.steps)
     coords_deg = np.linspace(lo_deg, hi_deg, args.steps)
     if args.out_format == "csv":
         lines = ["coord,lhs,rhs,margin"]
@@ -534,10 +534,13 @@ def _emit(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text)
 
 
+# built once: parse_args leaves the parser as it found it, so every call shares it
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         text, code = _COMMANDS[args.command](args)
         _emit(text, args.out)
     except NumericsError as exc:

@@ -44,9 +44,6 @@ class Direction:
     def dot(self, other: "Direction") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 @dataclass(frozen=True)
 class DotProductConfig:

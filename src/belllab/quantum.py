@@ -2,15 +2,18 @@
 
 States live in the computational basis indexed big-endian by qubit, with the
 spin-up basis state mapped to bit 0.  All operators are dense complex
-matrices; the systems are 2 and 4 qubits, so everything stays tiny.
+matrices; the systems are 2 and 4 qubits, so everything stays tiny.  Each
+observable is a Kronecker product of per-spin factors, with the identity on
+the spins it does not measure.
 
 A profile is the entries of one matrix: the symmetrized covariance matrix
 of the four observables, computed from the state and the images O_k psi.
 For the singlet that matrix is the Gram matrix of the four measurement axes
 with the signs of the cross-side entries flipped.  Profile builders compute
 every correlation twice, once through that matrix and once through the
-closed forms, and refuse to return on disagreement.  That keeps the two
-derivation routes honest against each other on every call.
+closed forms, and refuse to return when they differ by more than 1e-10
+(PROFILE_SELF_CHECK_TOL).  That keeps the two derivation routes honest
+against each other on every call.
 """
 
 from __future__ import annotations
@@ -34,28 +37,13 @@ IMAG_TOL = 1e-9
 #: 100x the roundoff accumulated by 16x16 matrix products.
 PROFILE_SELF_CHECK_TOL = 1e-10
 
+_I2 = np.eye(2, dtype=complex)
+_I4 = np.eye(4, dtype=complex)
 
-def pauli_dot(direction) -> np.ndarray:
+
+def pauli_dot(direction: Direction) -> np.ndarray:
     """2x2 spin observable along a unit direction: x*sx + y*sy + z*sz."""
-    if not isinstance(direction, Direction):
-        direction = Direction(*(float(v) for v in direction))
     return direction.x * PAULI_X + direction.y * PAULI_Y + direction.z * PAULI_Z
-
-
-def lift(op: np.ndarray, slot: int, n: int) -> np.ndarray:
-    """Embed a single-qubit operator at the given slot of an n-qubit register.
-
-    Slot 0 is the leftmost tensor factor, matching the big-endian basis order.
-    """
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 single-qubit operator, got shape {op.shape}")
-    if not 0 <= slot < n:
-        raise ValueError(f"slot {slot} out of range for {n} qubits")
-    out = np.eye(1, dtype=complex)
-    for position in range(n):
-        out = np.kron(out, op if position == slot else np.eye(2, dtype=complex))
-    return out
 
 
 def epr_state() -> np.ndarray:
@@ -105,11 +93,19 @@ def epr_observables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Spin observables A, B on qubit 0 and C, D on qubit 1 of the singlet."""
     return (
-        lift(pauli_dot(a), 0, 2),
-        lift(pauli_dot(b), 0, 2),
-        lift(pauli_dot(c), 1, 2),
-        lift(pauli_dot(d), 1, 2),
+        np.kron(pauli_dot(a), _I2),
+        np.kron(pauli_dot(b), _I2),
+        np.kron(_I2, pauli_dot(c)),
+        np.kron(_I2, pauli_dot(d)),
     )
+
+
+def _spin_pair(theta: float) -> np.ndarray:
+    """(s1 . n)(s2 . n) on two spins, n at angle theta in the x-y plane."""
+    s = pauli_dot(Direction.planar(theta))
+    # the product of the two single-spin observables; kron(s, s) is equal in
+    # exact arithmetic but rounds differently, which would move report bytes
+    return np.kron(s, _I2) @ np.kron(_I2, s)
 
 
 def ghz_observables(
@@ -120,43 +116,42 @@ def ghz_observables(
     Each observable measures both spins of its pair along one planar axis,
     e.g. A = (s1 . a)(s2 . a) with a at angle alpha in the x-y plane.
     """
+    return (
+        np.kron(_spin_pair(alpha), _I4),
+        np.kron(_spin_pair(beta), _I4),
+        np.kron(_I4, _spin_pair(gamma)),
+        np.kron(_I4, _spin_pair(delta)),
+    )
 
-    def pair(theta: float, first_slot: int) -> np.ndarray:
-        op = pauli_dot(Direction.planar(theta))
-        return lift(op, first_slot, 4) @ lift(op, first_slot + 1, 4)
 
-    return pair(alpha, 0), pair(beta, 0), pair(gamma, 2), pair(delta, 2)
-
-
-def _assert_profile_close(
-    computed: CorrelationProfile, expected: CorrelationProfile, tol: float
-) -> None:
+def _self_checked_profile(
+    state: np.ndarray, ops, expected: CorrelationProfile
+) -> CorrelationProfile:
+    """Profile of the observables' covariance matrix, refused if it leaves the closed form."""
+    computed = CorrelationProfile.from_covariance(covariance_matrix(state, ops))
     worst_name, worst = None, 0.0
     for name, value in computed.as_dict().items():
         diff = abs(value - getattr(expected, name))
         if diff > worst:
             worst_name, worst = name, diff
-    if worst > tol:
+    if worst > PROFILE_SELF_CHECK_TOL:
         raise NumericsError(
             f"matrix profile disagrees with closed form on {worst_name} by {worst!r}"
         )
+    return computed
 
 
 def epr_profile(a: Direction, b: Direction, c: Direction, d: Direction) -> CorrelationProfile:
     """Matrix-computed singlet profile, self-checked against the closed forms."""
-    computed = CorrelationProfile.from_covariance(
-        covariance_matrix(epr_state(), epr_observables(a, b, c, d))
+    return _self_checked_profile(
+        epr_state(), epr_observables(a, b, c, d), epr_profile_from_dots(gram_of(a, b, c, d))
     )
-    expected = epr_profile_from_dots(gram_of(a, b, c, d))
-    _assert_profile_close(computed, expected, PROFILE_SELF_CHECK_TOL)
-    return computed
 
 
 def ghz_profile(alpha: float, beta: float, gamma: float, delta: float) -> CorrelationProfile:
     """Matrix-computed four-spin profile, self-checked against the closed forms."""
-    computed = CorrelationProfile.from_covariance(
-        covariance_matrix(ghz_state(), ghz_observables(alpha, beta, gamma, delta))
+    return _self_checked_profile(
+        ghz_state(),
+        ghz_observables(alpha, beta, gamma, delta),
+        ghz_profile_from_angles(alpha, beta, gamma, delta),
     )
-    expected = ghz_profile_from_angles(alpha, beta, gamma, delta)
-    _assert_profile_close(computed, expected, PROFILE_SELF_CHECK_TOL)
-    return computed

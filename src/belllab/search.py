@@ -291,7 +291,6 @@ def sweep(
     axis: int,
     sweep_range: tuple[float, float],
     steps: int,
-    tolerance: float = VIOLATION_TOL,
 ) -> list[tuple[float, float, float, float]]:
     """Vary one coordinate over an inclusive interval, keeping the others fixed.
 

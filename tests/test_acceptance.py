@@ -8,6 +8,10 @@ lines (pytest -s) or the per-test verdicts (pytest -v).
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,6 @@ from belllab.quantum import (
     epr_state,
     ghz_observables,
     ghz_state,
-    lift,
     pauli_dot,
 )
 from belllab.search import evaluate_point, grid_search, parameter_space
@@ -124,7 +127,7 @@ def test_acceptance_05_unit_variances():
     for _ in range(100):
         v = rng.normal(size=3)
         direction = Direction(*(v / np.linalg.norm(v)))
-        var = covariance_matrix(state, [lift(pauli_dot(direction), 0, 2)])[0, 0]
+        var = covariance_matrix(state, [np.kron(pauli_dot(direction), np.eye(2))])[0, 0]
         worst = max(worst, abs(var - 1.0))
         singlet = singlet and abs(var - 1.0) <= 1e-12
     four_spin = ghz_state()
@@ -263,9 +266,28 @@ def test_acceptance_11_byte_identical_reruns(tmp_path, capsys):
         ok = ok and cli.main(argv + ["--out", str(second)]) == 0
         ok = ok and first.read_bytes() == second.read_bytes()
         ok = ok and json.loads(first.read_text())["command"] in ("lhv_check", "search")
+    # one process shares its parser between commands, a refused one included
+    scenario = tmp_path / "ghz.json"
+    scenario.write_text(json.dumps(
+        {"kind": "ghz", "inequality": "ghz_general", "ghz": {"angles_deg": [45, 60, 120, 150]}}
+    ))
+    evaluate = ["evaluate", "--scenario", str(scenario)]
+    refused = ["search", "--inequality", "chsh", "--space", "no-such-space"]
     capsys.readouterr()
+    runs = []
+    for argv in (evaluate, refused, evaluate):
+        code = cli.main(argv)
+        runs.append((code, capsys.readouterr().out))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "belllab.cli", *evaluate],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    ok = ok and fresh.returncode == 0 and runs[1] == (1, "")
+    ok = ok and runs[0] == runs[2] == (0, fresh.stdout)
     _criterion(
         11,
-        "lhv-check and search reruns with identical flags produce byte-identical reports",
+        "lhv-check and search reruns with identical flags produce byte-identical reports; "
+        "an evaluate before and after a refused command matches a fresh process byte for byte",
         ok,
     )

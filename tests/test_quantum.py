@@ -1,5 +1,6 @@
 """Dense-matrix quantum route: states, observables, and profile agreement."""
 
+import functools
 import math
 
 import numpy as np
@@ -19,11 +20,11 @@ from belllab.quantum import (
     ghz_observables,
     ghz_profile,
     ghz_state,
-    lift,
     pauli_dot,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+I2 = np.eye(2)
 
 
 def _random_direction(rng):
@@ -48,25 +49,24 @@ def test_pauli_dot_eigenvalues_are_plus_minus_one():
         assert eigs == pytest.approx([-1.0, 1.0], abs=1e-12)
 
 
-def test_pauli_dot_accepts_plain_sequence():
-    assert np.allclose(pauli_dot((0.0, 0.0, 1.0)), PAULI_Z)
-    assert np.allclose(pauli_dot((1.0, 0.0, 0.0)), PAULI_X)
+def _kron(*factors):
+    return functools.reduce(np.kron, factors)
 
 
 def test_lift_places_operator_at_slot():
-    identity = np.eye(2)
-    assert np.allclose(lift(PAULI_X, 0, 2), np.kron(PAULI_X, identity))
-    assert np.allclose(lift(PAULI_X, 1, 2), np.kron(identity, PAULI_X))
-    assert lift(PAULI_Z, 2, 4).shape == (16, 16)
-
-
-def test_lift_validates_slot_and_shape():
-    with pytest.raises(ValueError):
-        lift(PAULI_X, 2, 2)
-    with pytest.raises(ValueError):
-        lift(PAULI_X, -1, 2)
-    with pytest.raises(ValueError):
-        lift(np.eye(3), 0, 2)
+    # A, B act on the first spin (pair) and C, D on the second
+    angles = (0.1, 0.7, 1.3, 2.9)
+    spins = [pauli_dot(Direction.planar(theta)) for theta in angles]
+    A, B, C, D = epr_observables(*planar(angles))
+    assert np.allclose(A, _kron(spins[0], I2))
+    assert np.allclose(B, _kron(spins[1], I2))
+    assert np.allclose(C, _kron(I2, spins[2]))
+    assert np.allclose(D, _kron(I2, spins[3]))
+    A, B, C, D = ghz_observables(*angles)
+    assert np.allclose(A, _kron(spins[0], spins[0], I2, I2))
+    assert np.allclose(B, _kron(spins[1], spins[1], I2, I2))
+    assert np.allclose(C, _kron(I2, I2, spins[2], spins[2]))
+    assert np.allclose(D, _kron(I2, I2, spins[3], spins[3]))
 
 
 def test_epr_state_amplitudes():
@@ -105,7 +105,7 @@ def test_singlet_is_rotationally_anticorrelated():
     state = epr_state()
     for _ in range(25):
         n = _random_direction(rng)
-        op = lift(pauli_dot(n), 0, 2) @ lift(pauli_dot(n), 1, 2)
+        op = np.kron(pauli_dot(n), I2) @ np.kron(I2, pauli_dot(n))
         assert _expectation(state, op) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -114,8 +114,8 @@ def test_singlet_single_spin_means_vanish():
     state = epr_state()
     for _ in range(10):
         n = _random_direction(rng)
-        assert _expectation(state, lift(pauli_dot(n), 0, 2)) == pytest.approx(0.0, abs=1e-12)
-        assert _expectation(state, lift(pauli_dot(n), 1, 2)) == pytest.approx(0.0, abs=1e-12)
+        assert _expectation(state, np.kron(pauli_dot(n), I2)) == pytest.approx(0.0, abs=1e-12)
+        assert _expectation(state, np.kron(I2, pauli_dot(n))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_singlet_spin_variance_is_unity():
@@ -123,14 +123,14 @@ def test_singlet_spin_variance_is_unity():
     state = epr_state()
     for _ in range(100):
         n = _random_direction(rng)
-        sigma = covariance_matrix(state, [lift(pauli_dot(n), 0, 2)])
+        sigma = covariance_matrix(state, [np.kron(pauli_dot(n), I2)])
         assert sigma[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_covariance_is_symmetric_in_its_operators():
     state = epr_state()
-    x = lift(pauli_dot((1.0, 0.0, 0.0)), 0, 2)
-    y = lift(pauli_dot((0.0, 0.0, 1.0)), 1, 2)
+    x = np.kron(pauli_dot(Direction(1.0, 0.0, 0.0)), I2)
+    y = np.kron(I2, pauli_dot(Direction(0.0, 0.0, 1.0)))
     sigma = covariance_matrix(state, [x, y])
     assert sigma[0, 1] == pytest.approx(sigma[1, 0], abs=1e-14)
     assert sigma[0, 1] == pytest.approx(covariance_matrix(state, [y, x])[0, 1], abs=1e-14)
@@ -199,6 +199,18 @@ def test_ghz_pair_products_square_to_identity():
         assert np.allclose(op @ op, np.eye(16), atol=1e-12)
 
 
+def test_ghz_pair_observables_are_kron_of_spin_factors():
+    rng = np.random.default_rng(27)
+    for _ in range(100):
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=4)
+        ops = ghz_observables(*angles)
+        for index, (op, theta) in enumerate(zip(ops, angles)):
+            s = pauli_dot(Direction.planar(theta))
+            pair = _kron(s, s, I2, I2) if index < 2 else _kron(I2, I2, s, s)
+            assert np.max(np.abs(op - pair)) <= 1e-15
+            assert np.max(np.abs(op @ op - np.eye(16))) <= 1e-15
+
+
 # D flips the sign of the C, D side: cross-side entries are anticorrelations.
 SIDE_SIGNS = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -207,7 +219,7 @@ def test_singlet_covariance_is_signed_gram_matrix():
     rng = np.random.default_rng(25)
     for _ in range(100):
         directions = [_random_direction(rng) for _ in range(4)]
-        vectors = np.array([d.as_array() for d in directions])
+        vectors = np.array([[d.x, d.y, d.z] for d in directions])
         gram = vectors @ vectors.T
         sigma = covariance_matrix(epr_state(), epr_observables(*directions))
         assert np.max(np.abs(sigma - SIDE_SIGNS @ gram @ SIDE_SIGNS)) <= 1e-12
