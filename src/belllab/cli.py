@@ -41,8 +41,9 @@ from .inequalities import (
     epr_profile_from_dots,
     inequality_kernel,
     verdict_for_profile,
+    violates,
 )
-from .lhv import LhvModel, lhv_profile, random_model
+from .lhv import MAX_CHECK_MODELS, LhvModel, general_margins, lhv_profile, models_per_batch
 from .quantum import epr_profile, ghz_profile
 from .search import REFINE_SHRINK, grid_search, parameter_space, refine, sweep
 
@@ -420,21 +421,23 @@ def _search_result_dict(result) -> dict:
 def cmd_lhv_check(args) -> tuple[str, int]:
     if args.models < 1:
         raise ValueError("--models must be at least 1")
+    if args.models > MAX_CHECK_MODELS:
+        raise ValueError(f"--models must be at most {MAX_CHECK_MODELS}, got {args.models}")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     tolerance = _effective_tolerance(args.tolerance, None)
     max_margin = -math.inf
     max_margin_seed = args.seed
     violations = 0
-    for offset in range(args.models):
-        seed = args.seed + offset
-        model = random_model(seed, args.points, args.bound)
-        verdict = verdict_for_profile(lhv_profile(model), "general", tolerance)
-        if verdict.margin > max_margin:
-            max_margin = verdict.margin
-            max_margin_seed = seed
-        if verdict.violated:
-            violations += 1
+    step = models_per_batch(args.points)
+    end = args.seed + args.models
+    for first in range(args.seed, end, step):
+        margins = general_margins(first, min(step, end - first), args.points, args.bound)
+        best = int(np.argmax(margins))  # the first of equal margins, as the seed order has it
+        if margins[best] > max_margin:
+            max_margin = float(margins[best])
+            max_margin_seed = first + best
+        violations += int(np.count_nonzero(violates(margins, tolerance)))
     passed = violations == 0
     report = {
         "command": "lhv_check",

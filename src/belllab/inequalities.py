@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,6 +36,25 @@ from .geometry import DotProductConfig
 VIOLATION_TOL = 1e-9
 
 VARIANCE_TOL = 1e-12
+
+
+def violates(margin, tolerance: float = VIOLATION_TOL):
+    """The violation rule, for one margin or an array of them: margin above tolerance."""
+    return margin > tolerance
+
+
+# where each profile field sits, in field order, in the flattened covariance
+# matrix of (A, B, C, D) = indices 0..3
+_FIELD_POSITIONS = tuple(
+    4 * row + col
+    for row, col in ((0, 2), (0, 3), (1, 2), (1, 3), (0, 1), (2, 3), (0, 0), (1, 1), (2, 2), (3, 3))
+)
+_read_fields = itemgetter(*_FIELD_POSITIONS)
+
+
+def covariance_fields(sigma: np.ndarray) -> np.ndarray:
+    """The ten profile fields, in field order, of covariance matrices (..., 4, 4): shape (..., 10)."""
+    return sigma.reshape(*sigma.shape[:-2], 16)[..., _FIELD_POSITIONS]
 
 
 @dataclass(frozen=True)
@@ -71,8 +91,7 @@ class CorrelationProfile:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got shape {sigma.shape}")
-        (aa, ab, ac, ad), (_, bb, bc, bd), (_, _, cc, cd), (_, _, _, dd) = sigma.tolist()
-        return cls(ac, ad, bc, bd, ab, cd, aa, bb, cc, dd)
+        return cls(*_read_fields(sigma.ravel().tolist()))
 
     def as_dict(self) -> dict[str, float]:
         return {field.name: getattr(self, field.name) for field in fields(self)}
@@ -110,7 +129,7 @@ def make_verdict(
         raise NumericsError(
             f"inequality {inequality_id!r} has no finite margin: lhs {lhs!r}, rhs {rhs!r}"
         )
-    return InequalityVerdict(inequality_id, lhs, rhs, margin, bool(margin > tolerance))
+    return InequalityVerdict(inequality_id, lhs, rhs, margin, violates(margin, tolerance))
 
 
 # ---------------------------------------------------------------------------

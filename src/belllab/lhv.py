@@ -5,6 +5,14 @@ one (4, n) table whose rows are the values of the observables A, B, C, D at
 each point.  Every statistic is an entry of one matrix: the weighted
 covariance matrix of (A, B, C, D), computed from the centered table.  The
 profile is its ten distinct entries.
+
+Random models are drawn one seed at a time: model k of a run comes from its
+own default_rng(seed + k), however the run is split.  general_margins
+evaluates such models in stacked batches of at most BATCH_TABLE_FLOATS
+table values (or of one model, where one alone holds more), so a run's
+memory does not grow with its model count.  A batch makes the same
+arithmetic and the same checks per model as one LhvModel, its covariance
+matrix and its verdict.
 """
 
 from __future__ import annotations
@@ -14,21 +22,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import CorrelationProfile
+from .inequalities import CorrelationProfile, covariance_fields, general_terms, make_verdict
 
 WEIGHT_SUM_TOL = 1e-12
 
 #: Most hidden points random_model draws, so its memory is bounded before it starts.
 MAX_MODEL_POINTS = 1_000_000
 
+#: Most models one lhv-check run draws, so its time is bounded before it starts
+#: (about an hour at 8 points).
+MAX_CHECK_MODELS = 100_000_000
 
-def _frozen(value, name: str) -> np.ndarray:
+#: Table values one general_margins batch stacks (64 KiB), which bounds its memory.
+BATCH_TABLE_FLOATS = 8192
+
+
+def _refuse(message: str):
+    raise ValueError(message)
+
+
+def _raise_first_failure(checks) -> None:
+    """Raise the error of the first failing model, each model checked in list order.
+
+    checks holds (failed, fail) pairs: a boolean array over the stacked
+    models, and a function that raises the error of one model index.
+    """
+    firsts = [
+        (int(np.argmax(failed)), order) for order, (failed, _) in enumerate(checks) if failed.any()
+    ]
+    if firsts:
+        index, order = min(firsts)
+        checks[order][1](index)
+
+
+def _model_checks(weights: np.ndarray, tables: np.ndarray) -> list:
+    """LhvModel's value checks on stacked (count, n) weights and (count, 4, n) tables."""
+    total = weights.sum(axis=-1)
+    return [
+        (~np.isfinite(weights).all(axis=-1),
+         lambda k: _refuse("model field weights contains non-finite values")),
+        (~np.isfinite(tables).all(axis=(-2, -1)),
+         lambda k: _refuse("model field tables contains non-finite values")),
+        ((weights < 0.0).any(axis=-1), lambda k: _refuse("weights must be nonnegative")),
+        (np.abs(total - 1.0) > WEIGHT_SUM_TOL,
+         lambda k: _refuse(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {float(total[k])!r}")),
+    ]
+
+
+def _numeric(value, name: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model field {name} is not numeric: {exc}") from exc
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"model field {name} contains non-finite values")
     arr.setflags(write=False)
     return arr
 
@@ -45,8 +90,8 @@ class LhvModel:
     tables: np.ndarray
 
     def __post_init__(self) -> None:
-        weights = _frozen(self.weights, "weights")
-        tables = _frozen(self.tables, "tables")
+        weights = _numeric(self.weights, "weights")
+        tables = _numeric(self.tables, "tables")
         if weights.ndim != 1:
             raise ValueError("model field weights must be one-dimensional")
         n = weights.size
@@ -54,32 +99,61 @@ class LhvModel:
             raise ValueError("model needs at least one hidden point")
         if tables.shape != (4, n):
             raise ValueError(f"model tables have shape {tables.shape}, need (4, {n})")
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative")
-        total = float(weights.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+        _raise_first_failure(_model_checks(weights[None], tables[None]))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "tables", tables)
 
 
-def lhv_covariance_matrix(model: LhvModel) -> np.ndarray:
-    """Weighted covariance matrix of (A, B, C, D): sum(rho * (O_j - mean_j) * (O_k - mean_k)).
+def _covariances(weights: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Weighted covariance matrices of (..., n) weights and (..., 4, n) tables, shape (..., 4, 4).
 
     Centering first keeps the entries accurate for tables far from zero,
-    and the weighted Gram form keeps the matrix positive semidefinite.
+    and the weighted Gram form keeps each matrix positive semidefinite.
     """
-    tables = model.tables
     with np.errstate(all="ignore"):
-        centered = tables - (tables @ model.weights)[:, None]
-        sigma = (centered * model.weights) @ centered.T
-    if not np.all(np.isfinite(sigma)):
-        raise ValueError("hidden-variable model statistics overflow: covariance matrix is not finite")
+        centered = tables - np.matmul(tables, weights[..., None])
+        return np.matmul(centered * weights[..., None, :], np.swapaxes(centered, -1, -2))
+
+
+def _overflow_check(sigma: np.ndarray):
+    return (
+        ~np.isfinite(sigma).all(axis=(-2, -1)),
+        lambda k: _refuse(
+            "hidden-variable model statistics overflow: covariance matrix is not finite"
+        ),
+    )
+
+
+def lhv_covariance_matrix(model: LhvModel) -> np.ndarray:
+    """Weighted covariance matrix of (A, B, C, D): sum(rho * (O_j - mean_j) * (O_k - mean_k))."""
+    sigma = _covariances(model.weights, model.tables)
+    _raise_first_failure([_overflow_check(sigma[None])])
     return sigma
 
 
 def lhv_profile(model: LhvModel) -> CorrelationProfile:
     return CorrelationProfile.from_covariance(lhv_covariance_matrix(model))
+
+
+def _check_points(n_points: int) -> None:
+    if not 1 <= n_points <= MAX_MODEL_POINTS:
+        raise ValueError(f"n_points must lie between 1 and {MAX_MODEL_POINTS}, got {n_points}")
+
+
+def _check_draw(n_points: int, bound: float) -> None:
+    _check_points(n_points)
+    if not bound > 0.0:
+        raise ValueError("bound must be positive")
+    # the draw needs the width 2 * bound of [-bound, bound] as a finite float
+    if not bound <= sys.float_info.max / 2.0:
+        raise ValueError(f"bound {bound!r} is too large: the width of [-bound, bound] overflows")
+
+
+def _draw(seed: int, n_points: int, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """The seed contract: default_rng(seed) draws the weights, which are normalized, then the table."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n_points)
+    return weights / weights.sum(), rng.uniform(-bound, bound, size=(4, n_points))
 
 
 def random_model(seed: int, n_points: int, bound: float) -> LhvModel:
@@ -88,14 +162,36 @@ def random_model(seed: int, n_points: int, bound: float) -> LhvModel:
     The draw order (weights, then the (4, n_points) table) is fixed, so one
     seed always yields one model.
     """
-    if not 1 <= n_points <= MAX_MODEL_POINTS:
-        raise ValueError(f"n_points must lie between 1 and {MAX_MODEL_POINTS}, got {n_points}")
-    if not bound > 0.0:
-        raise ValueError("bound must be positive")
-    # the draw needs the width 2 * bound of [-bound, bound] as a finite float
-    if not bound <= sys.float_info.max / 2.0:
-        raise ValueError(f"bound {bound!r} is too large: the width of [-bound, bound] overflows")
-    rng = np.random.default_rng(seed)
-    weights = rng.random(n_points)
-    weights = weights / weights.sum()
-    return LhvModel(weights, rng.uniform(-bound, bound, size=(4, n_points)))
+    _check_draw(n_points, bound)
+    return LhvModel(*_draw(seed, n_points, bound))
+
+
+def models_per_batch(n_points: int) -> int:
+    """Models one general_margins call should stack: BATCH_TABLE_FLOATS table values, or one model."""
+    _check_points(n_points)
+    return max(1, BATCH_TABLE_FLOATS // (4 * n_points))
+
+
+def general_margins(first_seed: int, count: int, n_points: int, bound: float) -> np.ndarray:
+    """General-bound margins lhs - rhs of random_model(first_seed + k, ...) for k < count.
+
+    The models are stacked, not built: one pass computes every covariance
+    matrix and one general_terms call every margin.  Each model still gets
+    the checks of LhvModel, lhv_covariance_matrix and make_verdict, and the
+    first failing model by seed raises its error.
+    """
+    _check_draw(n_points, bound)
+    weights = np.empty((count, n_points))
+    tables = np.empty((count, 4, n_points))
+    for k in range(count):
+        weights[k], tables[k] = _draw(first_seed + k, n_points, bound)
+    sigma = _covariances(weights, tables)
+    with np.errstate(all="ignore"):
+        lhs, rhs = general_terms(*covariance_fields(sigma).T)
+        margins = lhs - rhs
+    _raise_first_failure([
+        *_model_checks(weights, tables),
+        _overflow_check(sigma),
+        (~np.isfinite(margins), lambda k: make_verdict("general", lhs[k], rhs[k])),
+    ])
+    return margins

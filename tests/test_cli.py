@@ -4,10 +4,13 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 import belllab.cli as cli
 from belllab.errors import NumericsError
+from belllab.inequalities import VIOLATION_TOL, verdict_for_profile
+from belllab.lhv import MAX_CHECK_MODELS, lhv_profile, models_per_batch, random_model
 from belllab.search import MAX_SWEEP_STEPS
 
 
@@ -498,6 +501,10 @@ def test_lhv_check_refuses_draws_it_cannot_make(capsys):
         (["--bound", "1e308"], "bound 1e+308 is too large: the width of [-bound, bound] overflows"),
         (["--points", "100000000000"], "n_points must lie between 1 and 1000000, got 100000000000"),
         (["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["--models", str(MAX_CHECK_MODELS + 1)],
+         f"--models must be at most {MAX_CHECK_MODELS}, got {MAX_CHECK_MODELS + 1}"),
+        (["--models", "1000000000000000"],
+         f"--models must be at most {MAX_CHECK_MODELS}, got 1000000000000000"),
     ]:
         code, out, err = run(capsys, "lhv-check", "--models", "2", *argv)
         assert code == 1, argv
@@ -506,16 +513,90 @@ def test_lhv_check_refuses_draws_it_cannot_make(capsys):
 
 
 def test_lhv_check_failure_exits_two(capsys, monkeypatch):
-    class FakeVerdict:
-        margin = 0.5
-        violated = True
-
-    monkeypatch.setattr(cli, "verdict_for_profile", lambda *a, **k: FakeVerdict())
+    # every model of the batch reads a margin above tolerance
+    monkeypatch.setattr(cli, "general_margins", lambda first, count, *a: np.full(count, 0.5))
     code, out, _ = run(capsys, "lhv-check", "--models", "3")
     assert code == 2
     report = json.loads(out)
     assert report["passed"] is False
     assert report["violations"] == 3
+
+
+def reference_lhv_check(models, points, bound, seed=0, tolerance=VIOLATION_TOL):
+    """lhv-check spelled out one model at a time: (exit code, report fields or stderr)."""
+    max_margin, max_margin_seed, violations = -math.inf, seed, 0
+    for k in range(models):
+        try:
+            model = random_model(seed + k, points, bound)
+            verdict = verdict_for_profile(lhv_profile(model), "general", tolerance)
+        except NumericsError as exc:
+            return 2, f"numeric error: {exc}\n"
+        except ValueError as exc:
+            return 1, f"error: {exc}\n"
+        if verdict.margin > max_margin:
+            max_margin, max_margin_seed = verdict.margin, seed + k
+        violations += verdict.violated
+    fields = {
+        "max_margin": max_margin.hex(),
+        "max_margin_seed": max_margin_seed,
+        "violations": violations,
+        "passed": violations == 0,
+    }
+    return (0 if violations == 0 else 2), fields
+
+
+def batched_lhv_check(capsys, *argv):
+    code, out, err = run(capsys, "lhv-check", *argv)
+    assert err == ""
+    report = json.loads(out)
+    report["max_margin"] = report["max_margin"].hex()  # compared bit for bit
+    keys = ("max_margin", "max_margin_seed", "violations", "passed")
+    return code, {key: report[key] for key in keys}
+
+
+@pytest.mark.parametrize("points", [1, 2, 8, 512, 513])
+def test_lhv_check_matches_the_per_model_loop(capsys, points):
+    # 513 points leave part of BATCH_TABLE_FLOATS unused; batch + 1 models
+    # leave a partial last batch
+    batch = models_per_batch(points)
+    for models in (batch - 1, batch, batch + 1):
+        got = batched_lhv_check(capsys, "--models", str(models), "--points", str(points))
+        assert got == reference_lhv_check(models, points, 5.0), models
+
+
+def test_lhv_check_matches_the_per_model_loop_at_saturated_models(capsys):
+    # two-point models saturate the bound, so the sign of the margin is
+    # roundoff and hundreds read as violated under the absolute tolerance
+    argv = ("--models", "2000", "--points", "2", "--bound", "1000")
+    code, fields = reference_lhv_check(2000, 2, 1000.0)
+    assert code == 2
+    assert fields["violations"] > 100
+    assert batched_lhv_check(capsys, *argv) == (code, fields)
+    relaxed = reference_lhv_check(2000, 2, 1000.0, tolerance=1e-3)
+    assert batched_lhv_check(capsys, *argv, "--tolerance", "1e-3") == relaxed
+
+
+@pytest.mark.parametrize(
+    "points, bound, seed, code",
+    [
+        (2048, "1e150", 0, 2),
+        (2, "1e300", 0, 1),
+        # seed 0 has no finite margin, seed 1 no finite covariance matrix
+        (2, "3e154", 0, 2),
+        # seed 1 has no finite covariance matrix, seed 8 no finite margin
+        (2, "3e154", 1, 1),
+        # seed 0 passes, seed 1 has no finite margin
+        (2, "3e77", 0, 2),
+    ],
+)
+def test_lhv_check_errors_match_the_per_model_loop(capsys, points, bound, seed, code):
+    argv = ("--models", "37", "--points", str(points), "--bound", bound, "--seed", str(seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = reference_lhv_check(37, points, float(bound), seed)
+        got = run(capsys, "lhv-check", *argv)
+    assert expected[0] == code
+    assert got == (expected[0], "", expected[1])
 
 
 def test_numeric_failure_exits_two(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from belllab.inequalities import verdict_for_profile
 from belllab.lhv import (
     MAX_MODEL_POINTS,
     LhvModel,
+    general_margins,
     lhv_covariance_matrix,
     lhv_profile,
     random_model,
@@ -240,6 +241,29 @@ def test_random_model_validates_arguments():
     # the widest finite interval still draws
     widest = random_model(0, 4, sys.float_info.max / 2.0)
     assert np.all(np.isfinite(widest.tables))
+
+
+def test_batched_margins_are_the_per_model_margins():
+    for first, count, n_points, bound in [(0, 50, 8, 5.0), (7, 5, 1, 0.5), (3, 4, 513, 20.0)]:
+        margins = general_margins(first, count, n_points, bound)
+        expected = [
+            verdict_for_profile(lhv_profile(random_model(first + k, n_points, bound)), "general")
+            for k in range(count)
+        ]
+        # bit for bit: the batch makes the per-model arithmetic, stacked
+        assert [m.hex() for m in margins.tolist()] == [v.margin.hex() for v in expected]
+
+
+def test_batched_margins_refuse_what_random_model_refuses():
+    for n_points, bound, message in [
+        (0, 1.0, "n_points must lie between 1 and 1000000"),
+        (4, 0.0, "bound must be positive"),
+        (4, 1e308, r"bound 1e\+308 is too large"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            random_model(0, n_points, bound)
+        with pytest.raises(ValueError, match=message):
+            general_margins(0, 3, n_points, bound)
 
 
 def test_mirrored_sign_model_reaches_chsh_bound():
