@@ -216,7 +216,7 @@ def _parse_lhv(block: dict):
         raise ValueError(f"lhv bound must be a number above 0, got {bound!r}")
     model = LhvModel(weights, tables)  # checks the weights now, before the inequality
     for key, peak in zip(LHV_TABLE_KEYS, np.max(np.abs(model.tables), axis=1)):
-        if peak > bound + 1e-12:
+        if peak > float(bound):
             raise ValueError(f"table {key} exceeds declared bound {float(bound)!r}")
     return None, lambda: (lhv_profile(model), None, {})
 

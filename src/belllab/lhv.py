@@ -11,8 +11,10 @@ own default_rng(seed + k), however the run is split.  general_margins
 evaluates such models in stacked batches of at most BATCH_TABLE_FLOATS
 table values (or of one model, where one alone holds more), so a run's
 memory does not grow with its model count.  A batch makes the same
-arithmetic and the same checks per model as one LhvModel, its covariance
-matrix and its verdict.
+arithmetic per model as one LhvModel, its covariance matrix and its verdict.
+Each check is written once, on one model; a batch screens its stacked
+results and replays the per-model checks, in seed order, only when the
+screen trips.
 """
 
 from __future__ import annotations
@@ -37,41 +39,9 @@ MAX_CHECK_MODELS = 100_000_000
 BATCH_TABLE_FLOATS = 8192
 
 
-def _refuse(message: str):
-    raise ValueError(message)
-
-
-def _raise_first_failure(checks) -> None:
-    """Raise the error of the first failing model, each model checked in list order.
-
-    checks holds (failed, fail) pairs: a boolean array over the stacked
-    models, and a function that raises the error of one model index.
-    """
-    firsts = [
-        (int(np.argmax(failed)), order) for order, (failed, _) in enumerate(checks) if failed.any()
-    ]
-    if firsts:
-        index, order = min(firsts)
-        checks[order][1](index)
-
-
-def _model_checks(weights: np.ndarray, tables: np.ndarray) -> list:
-    """LhvModel's value checks on stacked (count, n) weights and (count, 4, n) tables."""
-    total = weights.sum(axis=-1)
-    return [
-        (~np.isfinite(weights).all(axis=-1),
-         lambda k: _refuse("model field weights contains non-finite values")),
-        (~np.isfinite(tables).all(axis=(-2, -1)),
-         lambda k: _refuse("model field tables contains non-finite values")),
-        ((weights < 0.0).any(axis=-1), lambda k: _refuse("weights must be nonnegative")),
-        (np.abs(total - 1.0) > WEIGHT_SUM_TOL,
-         lambda k: _refuse(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {float(total[k])!r}")),
-    ]
-
-
 def _numeric(value, name: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.array(value, dtype=float)  # a copy: freezing it leaves the caller's array writable
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model field {name} is not numeric: {exc}") from exc
     arr.setflags(write=False)
@@ -99,7 +69,14 @@ class LhvModel:
             raise ValueError("model needs at least one hidden point")
         if tables.shape != (4, n):
             raise ValueError(f"model tables have shape {tables.shape}, need (4, {n})")
-        _raise_first_failure(_model_checks(weights[None], tables[None]))
+        for name, arr in (("weights", weights), ("tables", tables)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"model field {name} contains non-finite values")
+        if (weights < 0.0).any():
+            raise ValueError("weights must be nonnegative")
+        total = float(weights.sum())
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "tables", tables)
 
@@ -115,20 +92,15 @@ def _covariances(weights: np.ndarray, tables: np.ndarray) -> np.ndarray:
         return np.matmul(centered * weights[..., None, :], np.swapaxes(centered, -1, -2))
 
 
-def _overflow_check(sigma: np.ndarray):
-    return (
-        ~np.isfinite(sigma).all(axis=(-2, -1)),
-        lambda k: _refuse(
-            "hidden-variable model statistics overflow: covariance matrix is not finite"
-        ),
-    )
+def _finite_covariance(sigma: np.ndarray) -> np.ndarray:
+    if not np.isfinite(sigma).all():
+        raise ValueError("hidden-variable model statistics overflow: covariance matrix is not finite")
+    return sigma
 
 
 def lhv_covariance_matrix(model: LhvModel) -> np.ndarray:
     """Weighted covariance matrix of (A, B, C, D): sum(rho * (O_j - mean_j) * (O_k - mean_k))."""
-    sigma = _covariances(model.weights, model.tables)
-    _raise_first_failure([_overflow_check(sigma[None])])
-    return sigma
+    return _finite_covariance(_covariances(model.weights, model.tables))
 
 
 def lhv_profile(model: LhvModel) -> CorrelationProfile:
@@ -176,9 +148,11 @@ def general_margins(first_seed: int, count: int, n_points: int, bound: float) ->
     """General-bound margins lhs - rhs of random_model(first_seed + k, ...) for k < count.
 
     The models are stacked, not built: one pass computes every covariance
-    matrix and one general_terms call every margin.  Each model still gets
-    the checks of LhvModel, lhv_covariance_matrix and make_verdict, and the
-    first failing model by seed raises its error.
+    matrix and one general_terms call every margin.  One screen over the
+    stacked results flags each model that fails a check; only for those are
+    the per-model checks of LhvModel, lhv_covariance_matrix and make_verdict
+    replayed on the batch's own arrays in seed order, so the first failing
+    model raises its error.
     """
     _check_draw(n_points, bound)
     weights = np.empty((count, n_points))
@@ -189,9 +163,20 @@ def general_margins(first_seed: int, count: int, n_points: int, bound: float) ->
     with np.errstate(all="ignore"):
         lhs, rhs = general_terms(*covariance_fields(sigma).T)
         margins = lhs - rhs
-    _raise_first_failure([
-        *_model_checks(weights, tables),
-        _overflow_check(sigma),
-        (~np.isfinite(margins), lambda k: make_verdict("general", lhs[k], rhs[k])),
-    ])
+        # The screen flags every model that a replayed check refuses.  A
+        # non-finite weight or table value makes a row mean, and so that
+        # row's variance, non-finite, which the Σ screen sees.  Σ is
+        # screened whole, not only through the margin, which reads one
+        # triangle of it: roundoff leaves Σ asymmetric, so the other
+        # triangle alone might overflow.
+        suspect = (
+            ~np.isfinite(margins)
+            | ~np.isfinite(sigma).all(axis=(-2, -1))
+            | (weights < 0.0).any(axis=-1)
+            | (np.abs(weights.sum(axis=-1) - 1.0) > WEIGHT_SUM_TOL)
+        )
+    for k in np.flatnonzero(suspect):
+        LhvModel(weights[k], tables[k])
+        _finite_covariance(sigma[k])
+        make_verdict("general", lhs[k], rhs[k])
     return margins

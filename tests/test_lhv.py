@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belllab import cli
+from belllab import cli, lhv
+from belllab.errors import NumericsError
 from belllab.inequalities import verdict_for_profile
 from belllab.lhv import (
     MAX_MODEL_POINTS,
@@ -16,6 +17,7 @@ from belllab.lhv import (
     general_margins,
     lhv_covariance_matrix,
     lhv_profile,
+    models_per_batch,
     random_model,
 )
 
@@ -112,6 +114,11 @@ def test_model_bound_is_enforced():
         parse_lhv(block(2.1, 2))
     with pytest.raises(ValueError, match=r"^table A exceeds declared bound 2.0$"):
         parse_lhv(block(-2.1, 2.0))
+    # the bound is exact: no slack above it, however small the bound
+    with pytest.raises(ValueError, match=r"^table A exceeds declared bound 1e-13$"):
+        parse_lhv(block(1e-12, 1e-13))
+    with pytest.raises(ValueError, match=r"^table A exceeds declared bound 2.0$"):
+        parse_lhv(block(2.0000000000005, 2))
     for bound in (-1.0, 0, True, "2", None, [2.0]):
         with pytest.raises(ValueError, match="lhv bound must be a number above 0"):
             parse_lhv(block(0.0, bound))
@@ -123,6 +130,17 @@ def test_model_tables_are_read_only():
         model.tables[0, 0] = 5.0
     with pytest.raises(ValueError):
         model.weights[0] = 0.5
+
+
+def test_model_leaves_the_callers_arrays_writable():
+    weights = np.array([0.5, 0.5])
+    tables = np.zeros((4, 2))
+    model = LhvModel(weights, tables)
+    weights[0] = 0.1
+    tables[0, 0] = 3.0
+    # the model holds copies, so it is unchanged
+    assert model.weights.tolist() == [0.5, 0.5]
+    assert not model.tables.any()
 
 
 def test_dict_round_trip():
@@ -264,6 +282,61 @@ def test_batched_margins_refuse_what_random_model_refuses():
             random_model(0, n_points, bound)
         with pytest.raises(ValueError, match=message):
             general_margins(0, 3, n_points, bound)
+
+
+# faults no seeded draw makes, each applied to the draw of one seed
+FAULTS = {
+    # the weight of point 0 moves twice over to point 1, so the sum stays 1
+    "negative weight": lambda w, t: (w + w[0] * np.array([-2.0, 2.0] + [0.0] * (w.size - 2)), t),
+    "sum x 1.5": lambda w, t: (w * 1.5, t),
+    "inf weight": lambda w, t: (np.where(np.arange(w.size) == 0, math.inf, w), t),
+    "nan table": lambda w, t: (w, np.where(np.arange(w.size) == 0, math.nan, t)),
+    "overflowing table": lambda w, t: (w, t * 1e300),
+    "overflowing margin": lambda w, t: (w, t * 1e153),
+}
+
+
+def _first_model_error(weights, tables):
+    """The error the per-model path raises on one model, or None."""
+    try:
+        verdict_for_profile(lhv_profile(LhvModel(weights, tables)), "general")
+    except (ValueError, NumericsError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        {3: "negative weight", 5: "nan table"},
+        {5: "negative weight", 3: "nan table"},
+        {4: "sum x 1.5", 6: "inf weight"},
+        {2: "inf weight", 1: "sum x 1.5"},
+        {7: "overflowing table", 8: "negative weight"},
+        {0: "sum x 1.5"},
+        {11: "overflowing table", 9: "inf weight"},
+        {10: "negative weight", 6: "overflowing margin"},
+        {4: "overflowing table", 6: "overflowing margin"},
+    ],
+)
+def test_batched_margins_raise_the_error_of_the_first_faulty_seed(monkeypatch, faults):
+    draw = lhv._draw
+
+    def faulty_draw(seed, n_points, bound):
+        weights, tables = draw(seed, n_points, bound)
+        if seed in faults:
+            return FAULTS[faults[seed]](weights, tables)
+        return weights, tables
+
+    monkeypatch.setattr(lhv, "_draw", faulty_draw)
+    assert models_per_batch(8) >= 12  # one batch holds all 12 models
+    errors = {seed: _first_model_error(*faulty_draw(seed, 8, 5.0)) for seed in faults}
+    expected = errors.pop(min(faults))
+    assert expected is not None
+    assert expected not in errors.values()  # the message tells which seed raised
+    with pytest.raises(expected[0]) as caught:
+        general_margins(0, 12, 8, 5.0)
+    assert str(caught.value) == expected[1]
 
 
 def test_mirrored_sign_model_reaches_chsh_bound():
