@@ -35,6 +35,7 @@ from .errors import NumericsError
 from .geometry import Direction, DotProductConfig, gram_of, planar, realizability_report
 from .inequalities import (
     INEQUALITY_IDS,
+    PROFILE_KEYS,
     VIOLATION_TOL,
     CorrelationProfile,
     correlation_combination,
@@ -65,8 +66,6 @@ REFERENCE_EPR_DOT_ANGLES_DEG = {
 REFERENCE_GHZ_ANGLES_DEG = (45.0, 60.0, 120.0, 150.0)
 #: Published (lhs, rhs) of the general form at each reference configuration.
 PUBLISHED_GENERAL = {"epr": (0.38, 10.2), "ghz": (0.0275, 6.804)}
-
-PROFILE_KEYS = tuple(field.name for field in dataclasses.fields(CorrelationProfile))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -459,9 +458,15 @@ def _parse_range(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ValueError(f"--range must look like LO:HI in degrees, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ValueError(f"--range must hold two numbers, got {text!r}") from exc
+    # the degree coordinates are tabulated across hi - lo, so it must be finite too
+    if not math.isfinite(hi - lo) or lo == hi:
+        raise ValueError(
+            f"--range must hold two distinct finite numbers a finite width apart, got {text!r}"
+        )
+    return lo, hi
 
 
 def cmd_sweep(args) -> tuple[str, int]:

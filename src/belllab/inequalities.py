@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -94,7 +94,12 @@ class CorrelationProfile:
         return cls(*_read_fields(sigma.ravel().tolist()))
 
     def as_dict(self) -> dict[str, float]:
-        return {field.name: getattr(self, field.name) for field in fields(self)}
+        return dict(zip(PROFILE_KEYS, _profile_values(self)))
+
+
+#: The profile fields in declaration order: the order of every kernel's arguments.
+PROFILE_KEYS = tuple(field.name for field in fields(CorrelationProfile))
+_profile_values = attrgetter(*PROFILE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -225,18 +230,7 @@ def verdict_for_profile(
     tolerance: float = VIOLATION_TOL,
 ) -> InequalityVerdict:
     """Evaluate any known inequality id on a profile, labelled with that id."""
-    lhs, rhs = inequality_kernel(inequality_id)(
-        profile.e_ac,
-        profile.e_ad,
-        profile.e_bc,
-        profile.e_bd,
-        profile.e_ab,
-        profile.e_cd,
-        profile.var_a,
-        profile.var_b,
-        profile.var_c,
-        profile.var_d,
-    )
+    lhs, rhs = inequality_kernel(inequality_id)(*_profile_values(profile))
     return make_verdict(inequality_id, lhs, rhs, tolerance)
 
 
@@ -247,15 +241,13 @@ def verdict_for_profile(
 
 def epr_profile_from_dots(dots: DotProductConfig) -> CorrelationProfile:
     """Singlet-state profile implied by pairwise dot products; all variances are 1."""
-    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd = epr_correlation_terms(
-        dots.ab, dots.ac, dots.ad, dots.bc, dots.bd, dots.cd
-    )
-    return CorrelationProfile(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, 1.0, 1.0, 1.0, 1.0)
+    terms = epr_correlation_terms(dots.ab, dots.ac, dots.ad, dots.bc, dots.bd, dots.cd)
+    return CorrelationProfile(*terms, 1.0, 1.0, 1.0, 1.0)
 
 
 def ghz_profile_from_angles(
     alpha: float, beta: float, gamma: float, delta: float
 ) -> CorrelationProfile:
     """Four-spin pair-product profile at planar angles (radians); all variances are 1."""
-    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd = ghz_correlation_terms(alpha, beta, gamma, delta)
-    return CorrelationProfile(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, 1.0, 1.0, 1.0, 1.0)
+    terms = ghz_correlation_terms(alpha, beta, gamma, delta)
+    return CorrelationProfile(*terms, 1.0, 1.0, 1.0, 1.0)

@@ -130,6 +130,14 @@ class SearchResult:
     evaluations: int
 
 
+def _point(space: ParameterSpace, values) -> tuple[float, ...]:
+    """values as a coordinate tuple of floats, refusing the wrong coordinate count."""
+    coords = tuple(float(v) for v in values)
+    if len(coords) != space.n_coords:
+        raise ValueError(f"expected {space.n_coords} coordinates, got {len(coords)}")
+    return coords
+
+
 def evaluate_point(
     inequality_id: str,
     space: ParameterSpace,
@@ -138,11 +146,8 @@ def evaluate_point(
 ) -> InequalityVerdict:
     """Evaluate one parameter point with the same arithmetic the lattice scan uses."""
     kernel = inequality_kernel(inequality_id, space.family)
-    coords = tuple(float(v) for v in coords)
-    if len(coords) != space.n_coords:
-        raise ValueError(f"expected {space.n_coords} coordinates, got {len(coords)}")
-    lhs, rhs = kernel(*space.correlations(coords))
-    return make_verdict(inequality_id, float(lhs), float(rhs), tolerance)
+    lhs, rhs = kernel(*space.correlations(_point(space, coords)))
+    return make_verdict(inequality_id, lhs, rhs, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +253,7 @@ def refine(
     """
     if not initial_step > 0.0 or not min_step > 0.0:
         raise ValueError("steps must be positive")
-    current = tuple(float(v) for v in start)
-    if len(current) != space.n_coords:
-        raise ValueError(f"expected {space.n_coords} coordinates, got {len(current)}")
+    current = _point(space, start)
     for value, (lo, hi) in zip(current, space.bounds):
         if not lo <= value <= hi:
             raise ValueError(f"start coordinate {value!r} outside interval ({lo!r}, {hi!r})")
@@ -262,24 +265,18 @@ def refine(
 
     step = initial_step
     while step >= min_step:
-        moves = 0
-        improved = True
-        while improved and moves < MAX_MOVES_PER_LEVEL:
-            improved = False
-            for axis in range(space.n_coords):
-                for delta in (step, -step):
-                    candidate = _move(space, current, axis, delta)
-                    if candidate == current:
-                        continue
-                    probe = evaluate_point(inequality_id, space, candidate, tolerance)
-                    evaluations += 1
-                    if probe.margin > verdict.margin:
-                        current, verdict = candidate, probe
-                        moves += 1
-                        improved = True
-                        break
-                if improved:
+        for _ in range(MAX_MOVES_PER_LEVEL):
+            for axis, delta in itertools.product(range(space.n_coords), (step, -step)):
+                candidate = _move(space, current, axis, delta)
+                if candidate == current:
+                    continue
+                probe = evaluate_point(inequality_id, space, candidate, tolerance)
+                evaluations += 1
+                if probe.margin > verdict.margin:
+                    current, verdict = candidate, probe
                     break
+            else:
+                break
         step *= REFINE_SHRINK
     return SearchResult(current, verdict, evaluations)
 
@@ -297,15 +294,13 @@ def sweep(
     Returns (coordinate, lhs, rhs, margin) rows in sweep order, steps of them.
     """
     kernel = inequality_kernel(inequality_id, space.family)
-    base = tuple(float(v) for v in base)
-    if len(base) != space.n_coords:
-        raise ValueError(f"expected {space.n_coords} coordinates, got {len(base)}")
+    base = _point(space, base)
     if not 0 <= axis < space.n_coords:
         raise ValueError(f"axis {axis} out of range for {space.n_coords} coordinates")
     if not 2 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"sweep needs between 2 and {MAX_SWEEP_STEPS} steps, got {steps}")
     lo, hi = (float(sweep_range[0]), float(sweep_range[1]))
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo == hi:
+    if not math.isfinite(hi - lo) or lo == hi:
         raise ValueError(f"invalid sweep interval ({lo!r}, {hi!r})")
     values = np.linspace(lo, hi, steps)
     coords = base[:axis] + (values,) + base[axis + 1 :]

@@ -701,11 +701,13 @@ def test_sweep_rejects_malformed_range(capsys, tmp_path):
         "ghz.json",
         {"kind": "ghz", "inequality": "general", "ghz": {"angles_deg": [0, 10, 20, 30]}},
     )
-    for bad in ("0", "0:10:20", "a:b"):
-        code, _, err = run(
+    for bad in ("0", "0:10:20", "a:b", "1e308:-1e308", "10:10", "0:inf", "nan:5"):
+        code, out, err = run(
             capsys, "sweep", "--scenario", path, "--axis", "0", "--range", bad, "--steps", "3"
         )
         assert code == 1, bad
+        assert out == "", bad
+        assert err.startswith("error: --range ") and repr(bad) in err, err
 
 
 def test_sweep_refuses_too_many_steps(capsys, tmp_path):

@@ -236,6 +236,55 @@ def test_refine_wraps_around_periodic_axes():
         assert lo <= value < hi or value == pytest.approx(hi)
 
 
+def _reference_refine(inequality_id, space, start, initial_step, min_step):
+    """The compass ascent as a plain nested loop, reading the module's cap and shrink."""
+    current = tuple(float(v) for v in start)
+    verdict = evaluate_point(inequality_id, space, current)
+    evaluations = 1
+    if initial_step <= min_step:
+        return current, verdict, evaluations
+    step = initial_step
+    while step >= min_step:
+        moves = 0
+        improved = True
+        while improved and moves < search.MAX_MOVES_PER_LEVEL:
+            improved = False
+            for axis in range(space.n_coords):
+                for delta in (step, -step):
+                    candidate = search._move(space, current, axis, delta)
+                    if candidate == current:
+                        continue
+                    probe = evaluate_point(inequality_id, space, candidate)
+                    evaluations += 1
+                    if probe.margin > verdict.margin:
+                        current, verdict = candidate, probe
+                        moves += 1
+                        improved = True
+                        break
+                if improved:
+                    break
+        step *= search.REFINE_SHRINK
+    return current, verdict, evaluations
+
+
+@pytest.mark.parametrize("cap", [search.MAX_MOVES_PER_LEVEL, 3, 1])
+@pytest.mark.parametrize("kind", SPACE_KINDS)
+def test_refine_matches_the_reference_loop(monkeypatch, kind, cap):
+    monkeypatch.setattr(search, "MAX_MOVES_PER_LEVEL", cap)
+    space = SPACES[kind]
+    rng = np.random.default_rng(11)
+    starts = [tuple(rng.uniform(lo, hi) for lo, hi in space.bounds) for _ in range(3)]
+    # clipped coordinates pinned to their bounds, where the outward probe is a no-op
+    pinned = zip(space.bounds, space.wrap)
+    starts.append(tuple(lo if wrapped else hi for (lo, hi), wrapped in pinned))
+    starts.append(tuple(lo for lo, _ in space.bounds))
+    for inequality_id in ("general", "dispersion_free", "chsh", f"{space.family}_general"):
+        for start in starts:
+            result = refine(inequality_id, space, start, 0.4, 0.01)
+            expected = _reference_refine(inequality_id, space, start, 0.4, 0.01)
+            assert (result.best_params, result.best_verdict, result.evaluations) == expected
+
+
 def test_sweep_row_values_match_point_evaluations():
     base = (0.4, 1.0, 2.0, 3.0)
     rows = sweep("general", PLANAR, base, 2, (0.0, math.pi), 9)
@@ -265,6 +314,8 @@ def test_sweep_validates_arguments():
         sweep("general", PLANAR, base, 0, (0.0, 1.0), 1)
     with pytest.raises(ValueError):
         sweep("general", PLANAR, base, 0, (1.0, 1.0), 4)
+    with pytest.raises(ValueError, match="invalid sweep interval"):
+        sweep("general", PLANAR, base, 0, (1e308, -1e308), 4)
     with pytest.raises(ValueError):
         sweep("general", PLANAR, (0.0, 0.0), 0, (0.0, 1.0), 4)
 
