@@ -58,6 +58,11 @@ SPACE_BY_CLI_NAME = {
     "vectors3d": "vectors3d",
 }
 
+#: search --resolution in degrees when none is given.  22.5 divides 45, so the
+#: vectors3d lattice still holds the CHSH and dispersion-free optima, at 2.7e7
+#: points where 5 degrees would be 7.0e11, beyond the lattice limit.
+DEFAULT_RESOLUTION_DEG = {"planar-epr": 5.0, "ghz-angles": 5.0, "vectors3d": 22.5}
+
 # Reference configurations quoted from the published account of these
 # inequalities, kept verbatim so the discrepancy ledger has fixed targets.
 REFERENCE_EPR_DOT_ANGLES_DEG = {
@@ -95,7 +100,7 @@ def _build_parser() -> _Parser:
     se = commands.add_parser("search", help="grid-search a parameter space for the largest margin")
     se.add_argument("--inequality", required=True, choices=INEQUALITY_IDS)
     se.add_argument("--space", required=True, choices=tuple(SPACE_BY_CLI_NAME))
-    se.add_argument("--resolution", type=float, default=5.0, help="lattice resolution in degrees")
+    se.add_argument("--resolution", type=float, default=None, help="lattice resolution in degrees")
     se.add_argument("--refine", action="store_true", help="compass-refine the grid optimum")
     se.add_argument("--tolerance", type=float, default=None)
     se.add_argument("--out", default=None)
@@ -382,13 +387,16 @@ def _reproduce_ghz(tolerance: float) -> dict:
 def cmd_search(args) -> tuple[str, int]:
     tolerance = _effective_tolerance(args.tolerance, None)
     space = parameter_space(SPACE_BY_CLI_NAME[args.space])
-    resolution = math.radians(args.resolution)
+    degrees = args.resolution
+    if degrees is None:
+        degrees = DEFAULT_RESOLUTION_DEG[args.space]
+    resolution = math.radians(degrees)
     grid = grid_search(args.inequality, space, resolution, tolerance)
     report = {
         "command": "search",
         "inequality": args.inequality,
         "space": args.space,
-        "resolution_deg": float(args.resolution),
+        "resolution_deg": degrees,
         "tolerance": tolerance,
         "grid": _search_result_dict(grid),
         "refine": None,
@@ -548,7 +556,11 @@ _PARSER = _build_parser()
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        # --version and --help exit through SystemExit; hand its code back instead
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
         text, code = _COMMANDS[args.command](args)
         _emit(text, args.out)
     except NumericsError as exc:

@@ -12,10 +12,15 @@ wrap flags, the state family it models and its coordinates -> correlations map.
   (theta_a, theta_b, phi_b, theta_c, phi_c, theta_d, phi_d).
 
 Grid search sizes the lattice from integer axis counts before it builds any
-array, then scans it in blocks of at most BLOCK_SIZE trailing points with the
-kernels evaluate_point uses, so a reported optimum re-evaluates to identical
-numbers.  Ties go to the lexicographically smallest coordinate vector, which a
-lexicographic scan with strict improvement gives whatever the blocking.
+array, then scans it in blocks of at most BLOCK_SIZE points.  A block is an open
+mesh: the trailing axes whose product fits, plus one chunk of the axis before
+them, each passed as a 1-d axis shaped by np.ix_ to the kernels evaluate_point
+uses.  Every elementwise operation sees the operands it would on a dense
+meshgrid, so a reported optimum re-evaluates to identical numbers, and a term
+depending on two tail axes costs one evaluation per pair of axis values, not
+one per point.  Ties compare the computed float64 margins exactly and go to the
+lexicographically first lattice index, which a lexicographic scan with strict
+improvement gives whatever the blocking.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ from .inequalities import VIOLATION_TOL, InequalityVerdict, inequality_kernel, m
 #: Most points one grid scan covers, so a scan's run time is bounded before it starts.
 MAX_LATTICE_POINTS = 10**10
 
-#: Most lattice points one vectorized block evaluates; results do not depend on it.
+#: Most lattice points one open-mesh block covers; results do not depend on it.
+#: On the benchmark lattices (2 CPUs, CPython 3.11, numpy 2.4) 262144 scanned
+#: faster than 65536 or 131072, at a peak memory below the dense meshgrid scan's.
 BLOCK_SIZE = 262144
 
 #: Most accepted moves per refinement step size.
@@ -162,9 +169,10 @@ def grid_search(
 ) -> SearchResult:
     """Exhaustive lattice scan returning the maximum-margin point.
 
-    Equal margins resolve to the lexicographically smallest coordinate
-    vector: the lattice is scanned in lexicographic order and only strict
-    improvements replace the incumbent, so blocking cannot change the result.
+    Computed float64 margins compare exactly, and equal ones resolve to the
+    lexicographically first lattice index: the lattice is scanned in
+    lexicographic order and only strict improvements replace the incumbent,
+    so blocking cannot change the result.
     """
     kernel = inequality_kernel(inequality_id, space.family)
     if not resolution > 0.0:
@@ -191,22 +199,26 @@ def grid_search(
         )
     axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
 
-    # the trailing block holds the last axis, plus earlier axes while they fit
-    split = len(axes) - 1
-    while split > 0 and math.prod(sizes[split - 1 :]) <= BLOCK_SIZE:
-        split -= 1
-    tail_axes = axes[split:]
-    tail_shape = tuple(sizes[split:])
-    tail_flat = tuple(m.ravel() for m in np.meshgrid(*tail_axes, indexing="ij"))
+    # a block's tail is the trailing axes after `cut`, which fit in a block, plus
+    # one chunk of axis `cut`; blocks run over the leading axes, then the chunk
+    # starts, so the scan order stays lexicographic
+    cut = len(axes) - 1
+    inner = 1
+    while cut > 0 and inner * sizes[cut] <= BLOCK_SIZE:
+        inner *= sizes[cut]
+        cut -= 1
+    chunk = BLOCK_SIZE // inner
 
     best_margin = -math.inf
     best_coords: tuple[float, ...] | None = None
-    for prefix in itertools.product(*axes[:split]):
+    for *prefix, start in itertools.product(*axes[:cut], range(0, sizes[cut], chunk)):
         head = tuple(float(v) for v in prefix)
-        lhs, rhs = kernel(*space.correlations(head + tail_flat))
-        margin = lhs - rhs
+        tail_axes = [axes[cut][start : start + chunk], *axes[cut + 1 :]]
+        tail_shape = tuple(len(axis) for axis in tail_axes)
+        lhs, rhs = kernel(*space.correlations(head + np.ix_(*tail_axes)))
+        margin = np.broadcast_to(lhs - rhs, tail_shape)
         index = int(np.argmax(margin))
-        candidate = float(margin[index])
+        candidate = float(margin.flat[index])
         if candidate > best_margin:
             offsets = np.unravel_index(index, tail_shape)
             best_margin = candidate

@@ -470,8 +470,8 @@ def test_search_space_mismatch_exits_one(capsys):
 def test_search_refuses_a_lattice_beyond_the_limit(capsys):
     # the messages name the resolution in degrees, as it was given
     cases = [
-        # vectors3d at the default 5 degrees is 6.995e11 points, about ten hours
-        (["--space", "vectors3d"],
+        # vectors3d at 5 degrees is 6.995e11 points, about ten hours
+        (["--space", "vectors3d", "--resolution", "5"],
          "resolution 5.0 degrees needs at least 699526844928 lattice points, "
          "more than the 10000000000 one scan may cover"),
         (["--space", "planar-epr", "--resolution", "400"],
@@ -483,6 +483,19 @@ def test_search_refuses_a_lattice_beyond_the_limit(capsys):
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+def test_search_defaults_to_a_resolution_each_space_can_scan(capsys):
+    # 22.5 degrees divides 45, so the vectors3d default lattice holds the
+    # dispersion-free supremum 12 (a = c = d, b = -a)
+    code, out, err = run(capsys, "search", "--inequality", "dispersion_free", "--space", "vectors3d")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["resolution_deg"] == 22.5
+    assert report["grid"]["verdict"]["margin"] == 12.0
+    code, out, _ = run(capsys, "search", "--inequality", "chsh", "--space", "ghz-angles")
+    assert code == 0
+    assert json.loads(out)["resolution_deg"] == 5.0
 
 
 def test_lhv_check_passes(capsys):
@@ -749,8 +762,17 @@ def test_repeated_runs_are_byte_identical(capsys, tmp_path):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["--version"])
-    assert info.value.code == 0
-    out = capsys.readouterr().out
-    assert "belllab" in out
+    code, out, _ = run(capsys, "--version")
+    assert code == 0
+    assert out.startswith("belllab ")
+
+
+def test_help_and_usage_errors_return_their_exit_codes(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: belllab")
+    # usage errors take the input-error path, as on the console script
+    code, out, err = run(capsys, "search")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the following arguments are required: --inequality, --space\n"

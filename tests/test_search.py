@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from belllab import search
 from belllab.geometry import Direction, gram_of, planar
 from belllab.inequalities import (
+    INEQUALITIES,
     epr_profile_from_dots,
     ghz_profile_from_angles,
+    inequality_kernel,
     verdict_for_profile,
 )
 from belllab.search import (
@@ -156,6 +158,78 @@ def test_grid_result_is_independent_of_block_size(monkeypatch):
         assert other.best_params == coarse.best_params
         assert other.best_verdict.margin == coarse.best_verdict.margin
         assert other.evaluations == coarse.evaluations
+
+
+def _dense_scan(kernel, space, resolution):
+    """Lattice scan over dense meshgrid blocks, kept as the open-mesh scan's reference.
+
+    Returns the best coordinates and the lattice size; the inequality id only
+    labels the verdict, so one scan serves every id sharing a kernel.
+    """
+    sizes = []
+    for (lo, hi), wrapped in zip(space.bounds, space.wrap):
+        steps = math.floor(min((hi - lo) / resolution + 1e-9, search.MAX_LATTICE_POINTS))
+        sizes.append(steps if wrapped else steps + 1)
+    axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
+
+    split = len(axes) - 1
+    while split > 0 and math.prod(sizes[split - 1 :]) <= 262144:
+        split -= 1
+    tail_axes = axes[split:]
+    tail_shape = tuple(sizes[split:])
+    tail_flat = tuple(m.ravel() for m in np.meshgrid(*tail_axes, indexing="ij"))
+
+    best_margin = -math.inf
+    best_coords = None
+    for prefix in itertools.product(*axes[:split]):
+        head = tuple(float(v) for v in prefix)
+        lhs, rhs = kernel(*space.correlations(head + tail_flat))
+        margin = lhs - rhs
+        index = int(np.argmax(margin))
+        candidate = float(margin[index])
+        if candidate > best_margin:
+            offsets = np.unravel_index(index, tail_shape)
+            best_margin = candidate
+            best_coords = head + tuple(
+                float(axis[offset]) for axis, offset in zip(tail_axes, offsets)
+            )
+    return best_coords, math.prod(sizes)
+
+
+@pytest.mark.parametrize(
+    "kind, resolutions_deg",
+    [
+        ("planar_epr", (90, 45, 30, 22.5, 13, 7.5)),
+        ("ghz_angles", (45, 22.5, 11, 7.5)),
+        ("vectors3d", (90, 45, 36, 29)),
+    ],
+)
+def test_grid_search_matches_the_dense_scan_bit_for_bit(monkeypatch, kind, resolutions_deg):
+    space = SPACES[kind]
+    admitted = [
+        inequality_id
+        for inequality_id, (_, family) in INEQUALITIES.items()
+        if family in (None, space.family)
+    ]
+    default_block = search.BLOCK_SIZE
+    for degrees in resolutions_deg:
+        resolution = math.radians(degrees)
+        scans = {}
+        for inequality_id in admitted:
+            kernel = inequality_kernel(inequality_id)
+            if kernel not in scans:
+                scans[kernel] = _dense_scan(kernel, space, resolution)
+            coords, total = scans[kernel]
+            expected = (coords, evaluate_point(inequality_id, space, coords), total)
+            # blocks far below the default only on lattices of a few thousand points:
+            # one-point blocks cost about 30 us each
+            blocks = (1, 7, 64, 4096, default_block) if total <= 6_000 else (4096, default_block)
+            for block_size in blocks:
+                monkeypatch.setattr(search, "BLOCK_SIZE", block_size)
+                result = grid_search(inequality_id, space, resolution)
+                assert (
+                    result.best_params, result.best_verdict, result.evaluations
+                ) == expected, (inequality_id, degrees, block_size)
 
 
 def test_grid_lex_smallest_tie_break():
