@@ -554,11 +554,30 @@ def _emit(text: str, out_path: str | None) -> None:
 _PARSER = _build_parser()
 
 
+def _joined_range(argv: list[str]) -> list[str]:
+    """argv with sweep's `--range LO:HI` written `--range=LO:HI`.
+
+    argparse reads a separate value starting with "-", such as -90:90, as a
+    flag; joined, it is the value.  A value not starting with "-" parses the
+    same either way, and a following long option is left apart.
+    """
+    if argv[:1] != ["sweep"]:
+        return argv
+    joined = []
+    for token in argv:
+        if joined[-1:] == ["--range"] and not token.startswith("--"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         # --version and --help exit through SystemExit; hand its code back instead
         try:
-            args = _PARSER.parse_args(argv)
+            args = _PARSER.parse_args(_joined_range(argv))
         except SystemExit as exc:
             return exc.code
         text, code = _COMMANDS[args.command](args)

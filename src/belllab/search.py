@@ -1,7 +1,8 @@
 """Derivative-free maximization of inequality margins over measurement parameters.
 
 One table, SPACES, is the only place a search space is described: bounds,
-wrap flags, the state family it models and its coordinates -> correlations map.
+wrap flags, the state family it models, its coordinates -> correlations map
+and whether a common shift of every coordinate leaves that map unchanged.
 
 * planar_epr: four planar angles, one per singlet measurement axis.
 * ghz_angles: four planar angles for the pair-product observables; the
@@ -21,6 +22,25 @@ depending on two tail axes costs one evaluation per pair of axis values, not
 one per point.  Ties compare the computed float64 margins exactly and go to the
 lexicographically first lattice index, which a lexicographic scan with strict
 improvement gives whatever the blocking.
+
+Rotation quotient.  The planar_epr and ghz_angles correlations depend on the
+angles only through their differences (-cos(a - c), ..., -cos 2(alpha -
+gamma), ...).  When the N lattice steps of a wrapped axis span its period to
+within a few ulp, shifting every index by s (mod N) is an exact symmetry of
+the margin, so each orbit of N points has one representative with first
+index 0.  Computed margins are not exactly invariant: the premise, pinned by
+a property test, is that a point's and its shift's computed margins differ by
+at most delta = 1e-12 (measured worst case about 2e-14).  The scan therefore
+runs its blocks over the first-index-0 slab (N**3 points) as usual and keeps
+every representative within 2 delta of the slab maximum M.  The point p* the
+full scan reports, and every point tying with it, has computed margin at
+least M, so its representative's is above M - delta and is kept.  If K, the
+number kept, stays at most N**2, only the other points of the K kept orbits
+are evaluated next, with the scan's own head/tail split and in lexicographic
+order, which returns p* bit for bit.  Otherwise (the general bound saturates
+on about 3 N**2 orbits) the plain scan continues from the next block, wasting
+no work.  Either way SearchResult.evaluations counts the whole lattice, N**4
+points.  vectors3d and lattices that do not close always take the plain scan.
 """
 
 from __future__ import annotations
@@ -52,6 +72,10 @@ REFINE_SHRINK = 0.5
 #: Most points one sweep tabulates, so a sweep's memory is bounded before it starts.
 MAX_SWEEP_STEPS = 1_000_000
 
+# delta of the rotation quotient: a bound on |computed margin(p) - computed
+# margin(p shifted)| on a closing lattice, which keeps the quotient exact
+_SHIFT_DELTA = 1e-12
+
 
 @dataclass(frozen=True)
 class ParameterSpace:
@@ -61,13 +85,17 @@ class ParameterSpace:
     refinement probes wrap modulo that period, and clipped coordinates pin to
     the interval instead.  correlations maps coordinates (floats or arrays) to
     the six correlations; the kernels' default unit variances hold because
-    every spin and pair-product observable squares to one.
+    every spin and pair-product observable squares to one.  shift_invariant
+    marks a space of equal wrapped axes whose correlations depend only on
+    coordinate differences, so adding one angle to every coordinate changes
+    no correlation.
     """
 
     family: str
     bounds: tuple[tuple[float, float], ...]
     wrap: tuple[bool, ...]
     correlations: Callable
+    shift_invariant: bool = False
 
     @property
     def n_coords(self) -> int:
@@ -107,9 +135,11 @@ SPACES = {
     "planar_epr": ParameterSpace(
         "epr", (_AZIMUTH,) * 4, (True,) * 4,
         lambda x: inequalities.epr_correlation_terms(*_epr_dots_from_planar(x)),
+        shift_invariant=True,
     ),
     "ghz_angles": ParameterSpace(
-        "ghz", (_POLAR,) * 4, (True,) * 4, lambda x: inequalities.ghz_correlation_terms(*x)
+        "ghz", (_POLAR,) * 4, (True,) * 4, lambda x: inequalities.ghz_correlation_terms(*x),
+        shift_invariant=True,
     ),
     "vectors3d": ParameterSpace(
         "epr",
@@ -161,6 +191,70 @@ def evaluate_point(
 # Grid search.
 
 
+def _open_mesh_blocks(kernel, space, axes, cut, chunk):
+    """(positions, margins) of each open-mesh block, in lexicographic order.
+
+    A block's tail is the trailing axes after `cut` plus one chunk of axis
+    `cut`; blocks run over the leading axes, then the chunk starts.  positions
+    is the range of linear lattice indices the flattened margins cover.
+    """
+    first = 0
+    for *prefix, start in itertools.product(*axes[:cut], range(0, len(axes[cut]), chunk)):
+        head = tuple(float(v) for v in prefix)
+        tail_axes = [axes[cut][start : start + chunk], *axes[cut + 1 :]]
+        tail_shape = tuple(len(axis) for axis in tail_axes)
+        lhs, rhs = kernel(*space.correlations(head + np.ix_(*tail_axes)))
+        margin = np.broadcast_to(lhs - rhs, tail_shape)
+        yield range(first, first + margin.size), margin
+        first += margin.size
+
+
+def _rotation_quotient(kernel, space, axes, cut, blocks):
+    """blocks, with the lattice beyond the first-index-0 slab cut to the kept orbits.
+
+    Passes the slab's blocks through, keeping the slab points within
+    2 _SHIFT_DELTA of the slab maximum so far.  Once more than n**2 are kept,
+    the remaining blocks follow unchanged.  Otherwise the kept orbits' points
+    not yet scanned follow as (positions, margins) chunks in lexicographic
+    order, each of at most BLOCK_SIZE points sharing one head (the first
+    `cut` indices), passed as Python floats as the scan passes it.
+    """
+    n = len(axes[0])
+    shape = (n,) * len(axes)
+    slab = n ** (len(axes) - 1)
+    floor = -math.inf
+    kept = np.empty(0, dtype=np.intp)
+    kept_margins = np.empty(0)
+    for positions, margin in blocks:
+        yield positions, margin
+        flat = margin.reshape(-1)[: slab - positions.start]
+        floor = max(floor, float(flat.max()) - 2.0 * _SHIFT_DELTA)
+        near = flat >= floor
+        still = kept_margins >= floor
+        if np.count_nonzero(near) + np.count_nonzero(still) > n * n:
+            del margin, flat, near  # a block's arrays, which the rest of the scan does not need
+            yield from blocks
+            return
+        fresh = np.flatnonzero(near)
+        kept = np.concatenate((kept[still], positions.start + fresh))
+        kept_margins = np.concatenate((kept_margins[still], flat[fresh]))
+        if positions.stop >= slab:
+            break
+
+    representatives = np.stack(np.unravel_index(kept, shape), axis=-1)
+    head_span = n ** (len(axes) - cut)  # lattice points sharing one head
+    for shift in range(positions.stop // slab, n):
+        points = np.sort(np.ravel_multi_index(tuple(((representatives + shift) % n).T), shape))
+        for run in np.split(points, np.flatnonzero(np.diff(points // head_span)) + 1):
+            for start in range(0, len(run), BLOCK_SIZE):
+                part = run[start : start + BLOCK_SIZE]
+                index = np.unravel_index(part, shape)
+                head = tuple(float(axis[i[0]]) for axis, i in zip(axes[:cut], index))
+                tail = tuple(axis[i] for axis, i in zip(axes[cut:], index[cut:]))
+                lhs, rhs = kernel(*space.correlations(head + tail))
+                yield part, np.broadcast_to(lhs - rhs, part.shape)
+
+
 def grid_search(
     inequality_id: str,
     space: ParameterSpace,
@@ -172,7 +266,10 @@ def grid_search(
     Computed float64 margins compare exactly, and equal ones resolve to the
     lexicographically first lattice index: the lattice is scanned in
     lexicographic order and only strict improvements replace the incumbent,
-    so blocking cannot change the result.
+    so blocking cannot change the result.  On a shift-invariant space whose
+    lattice closes, the rotation quotient of the module docstring skips the
+    orbits that cannot hold the optimum and returns the identical result;
+    evaluations always counts every lattice point.
     """
     kernel = inequality_kernel(inequality_id, space.family)
     if not resolution > 0.0:
@@ -199,34 +296,29 @@ def grid_search(
         )
     axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
 
-    # a block's tail is the trailing axes after `cut`, which fit in a block, plus
-    # one chunk of axis `cut`; blocks run over the leading axes, then the chunk
-    # starts, so the scan order stays lexicographic
+    # the trailing axes after `cut` fit in a block, with a chunk of axis `cut`
     cut = len(axes) - 1
     inner = 1
     while cut > 0 and inner * sizes[cut] <= BLOCK_SIZE:
         inner *= sizes[cut]
         cut -= 1
-    chunk = BLOCK_SIZE // inner
+    blocks = _open_mesh_blocks(kernel, space, axes, cut, BLOCK_SIZE // inner)
+    span = space.bounds[0][1] - space.bounds[0][0]
+    if space.shift_invariant and abs(sizes[0] * resolution - span) <= 4.0 * math.ulp(span):
+        blocks = _rotation_quotient(kernel, space, axes, cut, blocks)
 
     best_margin = -math.inf
-    best_coords: tuple[float, ...] | None = None
-    for *prefix, start in itertools.product(*axes[:cut], range(0, sizes[cut], chunk)):
-        head = tuple(float(v) for v in prefix)
-        tail_axes = [axes[cut][start : start + chunk], *axes[cut + 1 :]]
-        tail_shape = tuple(len(axis) for axis in tail_axes)
-        lhs, rhs = kernel(*space.correlations(head + np.ix_(*tail_axes)))
-        margin = np.broadcast_to(lhs - rhs, tail_shape)
+    best_position = None
+    for positions, margin in blocks:
         index = int(np.argmax(margin))
         candidate = float(margin.flat[index])
         if candidate > best_margin:
-            offsets = np.unravel_index(index, tail_shape)
             best_margin = candidate
-            best_coords = head + tuple(
-                float(axis[offset]) for axis, offset in zip(tail_axes, offsets)
-            )
+            best_position = positions[index]
 
-    assert best_coords is not None
+    assert best_position is not None
+    best_index = np.unravel_index(best_position, sizes)
+    best_coords = tuple(float(axis[i]) for axis, i in zip(axes, best_index))
     best_verdict = evaluate_point(inequality_id, space, best_coords, tolerance)
     return SearchResult(best_coords, best_verdict, total)
 

@@ -723,6 +723,22 @@ def test_sweep_rejects_malformed_range(capsys, tmp_path):
         assert err.startswith("error: --range ") and repr(bad) in err, err
 
 
+def test_sweep_range_may_start_below_zero_as_a_separate_argument(capsys, tmp_path):
+    path = write_scenario(
+        tmp_path,
+        "ghz.json",
+        {"kind": "ghz", "inequality": "general", "ghz": {"angles_deg": [0, 10, 20, 30]}},
+    )
+    base = ("sweep", "--scenario", path, "--axis", "0")
+    for text in ("-5:5", "-90:90"):
+        separate = run(capsys, *base, "--range", text, "--steps", "5")
+        assert separate == run(capsys, *base, f"--range={text}", "--steps", "5"), text
+        assert separate[0] == 0 and separate[2] == "", text
+    code, out, err = run(capsys, *base, "--range", "-inf:0", "--steps", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --range ") and "'-inf:0'" in err, err
+
+
 def test_sweep_refuses_too_many_steps(capsys, tmp_path):
     path = write_scenario(
         tmp_path,

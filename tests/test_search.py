@@ -232,6 +232,85 @@ def test_grid_search_matches_the_dense_scan_bit_for_bit(monkeypatch, kind, resol
                 ) == expected, (inequality_id, degrees, block_size)
 
 
+# closing lattices, in degrees; at 3 degrees n * resolution misses the period by one ulp
+CLOSING_DEGREES = {"planar_epr": (2.5, 3, 5, 10, 15, 45), "ghz_angles": (2.5, 3, 5, 10, 22.5)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rotating_a_closing_lattice_moves_a_margin_by_at_most_delta(data):
+    # the premise that makes the rotation quotient exact
+    kind = data.draw(st.sampled_from(sorted(CLOSING_DEGREES)))
+    space = SPACES[kind]
+    resolution = math.radians(data.draw(st.sampled_from(CLOSING_DEGREES[kind])))
+    lo, hi = space.bounds[0]
+    n = math.floor((hi - lo) / resolution + 1e-9)
+    axis = lo + resolution * np.arange(n)
+    index = np.array(data.draw(st.tuples(*[st.integers(0, n - 1)] * 4)))
+    shift = data.draw(st.integers(1, n - 1))
+    for inequality_id in ("general", "dispersion_free", "chsh"):
+        margin = evaluate_point(inequality_id, space, axis[index]).margin
+        rotated = evaluate_point(inequality_id, space, axis[(index + shift) % n]).margin
+        assert abs(margin - rotated) <= search._SHIFT_DELTA
+
+
+@pytest.mark.parametrize(
+    "kind, degrees", [("planar_epr", 10), ("planar_epr", 15), ("ghz_angles", 5), ("ghz_angles", 10)]
+)
+def test_rotation_quotient_matches_the_dense_scan_bit_for_bit(monkeypatch, kind, degrees):
+    space = SPACES[kind]
+    resolution = math.radians(degrees)
+    default_block = search.BLOCK_SIZE
+    scans = {}
+    for inequality_id, (kernel, family) in INEQUALITIES.items():
+        if family not in (None, space.family):
+            continue
+        if kernel not in scans:
+            scans[kernel] = _dense_scan(kernel, space, resolution)
+        coords, total = scans[kernel]
+        expected = (coords, evaluate_point(inequality_id, space, coords), total)
+        for block_size in (4096, default_block):
+            monkeypatch.setattr(search, "BLOCK_SIZE", block_size)
+            result = grid_search(inequality_id, space, resolution)
+            assert (
+                result.best_params, result.best_verdict, result.evaluations
+            ) == expected, (inequality_id, block_size)
+
+
+def test_rotation_quotient_evaluates_only_the_kept_orbits(monkeypatch):
+    evaluated = []
+
+    def counting_kernel(inequality_id, family=None):
+        kernel = inequality_kernel(inequality_id, family)
+
+        def counted(*terms):
+            evaluated.append(np.broadcast(*terms).size)
+            return kernel(*terms)
+
+        return counted
+
+    monkeypatch.setattr(search, "inequality_kernel", counting_kernel)
+
+    def scanned_points(inequality_id, kind, degrees, n):
+        evaluated.clear()
+        result = grid_search(inequality_id, SPACES[kind], math.radians(degrees))
+        assert result.evaluations == n**4
+        return sum(evaluated) - 1  # the reported optimum is evaluated once more
+
+    # 72 points per axis: the first-index-0 slab, then the other 71 points of
+    # each of K kept orbits, K = 2 for dispersion_free and 4 for chsh
+    n = 72
+    assert scanned_points("dispersion_free", "planar_epr", 5, n) == n**3 + 2 * (n - 1)
+    assert scanned_points("chsh", "planar_epr", 5, n) == n**3 + 4 * (n - 1)
+    assert scanned_points("ghz_dispersion_free", "ghz_angles", 2.5, n) == n**3 + 2 * (n - 1)
+    # the general bound keeps more than n**2 orbits, and 7 degrees does not close
+    assert scanned_points("general", "planar_epr", 5, n) == n**4
+    assert scanned_points("general", "planar_epr", 7, 51) == 51**4
+    # a lattice one ulp off its period still closes
+    assert abs(120 * math.radians(3.0) - 2.0 * math.pi) == math.ulp(2.0 * math.pi)
+    assert scanned_points("chsh", "planar_epr", 3, 120) < 2 * 120**3
+
+
 def test_grid_lex_smallest_tie_break():
     # chsh on the 90 degree lattice peaks at exactly 2.0 on many points;
     # the scan must return the lexicographically first of the exact ties
