@@ -247,9 +247,11 @@ def load_scenario(path: str):
         raise ValueError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         data = json.loads(text)
+        _reject_non_finite_numbers(data, "")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    _reject_non_finite_numbers(data, "")
+    except RecursionError:
+        raise ValueError(f"{path}: scenario is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("scenario must be a JSON object")
     kind = data.get("kind")

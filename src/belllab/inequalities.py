@@ -14,7 +14,7 @@ and the dispersion-free form is its zero-variance specialization
 
     combination^2 + 4 E(A,B) E(C,D) <= 0.
 
-The term kernels share one signature and accept scalars or numpy arrays, so
+The term kernels take the ten profile fields, scalars or numpy arrays, so
 searches evaluate whole lattices in one shot with identical arithmetic.  The
 INEQUALITIES registry is the one place an inequality id is interpreted: it
 maps each id to its kernel and to the state family the id requires.
@@ -145,17 +145,15 @@ def correlation_combination(e_ac, e_ad, e_bc, e_bd):
     return e_ac + e_ad - e_bc - e_bd
 
 
-def general_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a=1.0, var_b=1.0, var_c=1.0, var_d=1.0):
-    """lhs and rhs of the general bound; unit variances by default."""
+def general_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a, var_b, var_c, var_d):
+    """lhs and rhs of the general bound."""
     combination = correlation_combination(e_ac, e_ad, e_bc, e_bd)
     lhs = combination * combination
     rhs = (var_a + var_b - 2.0 * e_ab) * (var_c + var_d + 2.0 * e_cd)
     return lhs, rhs
 
 
-def dispersion_free_terms(
-    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a=1.0, var_b=1.0, var_c=1.0, var_d=1.0
-):
+def dispersion_free_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a, var_b, var_c, var_d):
     """lhs of the dispersion-free bound; rhs is identically zero and variances are unused."""
     combination = correlation_combination(e_ac, e_ad, e_bc, e_bd)
     lhs = combination * combination + 4.0 * e_ab * e_cd
@@ -163,7 +161,7 @@ def dispersion_free_terms(
     return lhs, combination * combination * 0.0
 
 
-def chsh_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a=1.0, var_b=1.0, var_c=1.0, var_d=1.0):
+def chsh_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a, var_b, var_c, var_d):
     """CHSH with the +++- sign convention: |eAC + eAD + eBC - eBD| against 2.
 
     Only the four cross correlations enter; the rest of the signature is
@@ -174,19 +172,21 @@ def chsh_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a=1.0, var_b=1.0, var_c=1
 
 
 def epr_correlation_terms(ab, ac, ad, bc, bd, cd):
-    """Singlet correlations from dot products: E(A,C) = -a.c etc., E(A,B) = +a.b, E(C,D) = +c.d."""
-    return -ac, -ad, -bc, -bd, ab, cd
+    """Singlet profile fields from dot products: E(A,C) = -a.c etc., E(A,B) = +a.b,
+    E(C,D) = +c.d, and variances 1, as every spin observable squares to one."""
+    return -ac, -ad, -bc, -bd, ab, cd, 1.0, 1.0, 1.0, 1.0
 
 
 def ghz_correlation_terms(alpha, beta, gamma, delta):
-    """Four-spin pair-product correlations from planar angles (radians)."""
+    """Four-spin profile fields from planar angles (radians); the variances are 1,
+    as every pair-product observable squares to one."""
     e_ac = -np.cos(2.0 * (alpha - gamma))
     e_ad = -np.cos(2.0 * (alpha - delta))
     e_bc = -np.cos(2.0 * (beta - gamma))
     e_bd = -np.cos(2.0 * (beta - delta))
     e_ab = np.cos(2.0 * (alpha - beta))
     e_cd = np.cos(2.0 * (gamma - delta))
-    return e_ac, e_ad, e_bc, e_bd, e_ab, e_cd
+    return e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, 1.0, 1.0, 1.0, 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +240,13 @@ def verdict_for_profile(
 
 
 def epr_profile_from_dots(dots: DotProductConfig) -> CorrelationProfile:
-    """Singlet-state profile implied by pairwise dot products; all variances are 1."""
+    """Singlet-state profile implied by pairwise dot products."""
     terms = epr_correlation_terms(dots.ab, dots.ac, dots.ad, dots.bc, dots.bd, dots.cd)
-    return CorrelationProfile(*terms, 1.0, 1.0, 1.0, 1.0)
+    return CorrelationProfile(*terms)
 
 
 def ghz_profile_from_angles(
     alpha: float, beta: float, gamma: float, delta: float
 ) -> CorrelationProfile:
-    """Four-spin pair-product profile at planar angles (radians); all variances are 1."""
-    terms = ghz_correlation_terms(alpha, beta, gamma, delta)
-    return CorrelationProfile(*terms, 1.0, 1.0, 1.0, 1.0)
+    """Four-spin pair-product profile at planar angles (radians)."""
+    return CorrelationProfile(*ghz_correlation_terms(alpha, beta, gamma, delta))

@@ -36,10 +36,14 @@ every representative within 2 delta of the slab maximum M.  The point p* the
 full scan reports, and every point tying with it, has computed margin at
 least M, so its representative's is above M - delta and is kept.  If K, the
 number kept, stays at most N**2, only the other points of the K kept orbits
-are evaluated next, with the scan's own head/tail split and in lexicographic
-order, which returns p* bit for bit.  Otherwise (the general bound saturates
-on about 3 N**2 orbits) the plain scan continues from the next block, wasting
-no work.  Either way SearchResult.evaluations counts the whole lattice, N**4
+are evaluated next, in lexicographic order, each coordinate a flat array
+gathered from its axis, which returns p* bit for bit.  A closing lattice
+within MAX_LATTICE_POINTS has N <= 316, so N**2 < BLOCK_SIZE and a block has at
+most one head axis; every correlation pairs two axes, so the scan takes no
+cosine of a scalar, and the flat pass gives each point the same operands
+through the same array ufuncs.  Otherwise (the general bound saturates on
+about 3 N**2 orbits) the plain scan continues from the next block, wasting no
+work.  Either way SearchResult.evaluations counts the whole lattice, N**4
 points.  vectors3d and lattices that do not close always take the plain scan.
 """
 
@@ -84,11 +88,10 @@ class ParameterSpace:
     Wrapped coordinates are periodic with period hi - lo; their lattices and
     refinement probes wrap modulo that period, and clipped coordinates pin to
     the interval instead.  correlations maps coordinates (floats or arrays) to
-    the six correlations; the kernels' default unit variances hold because
-    every spin and pair-product observable squares to one.  shift_invariant
-    marks a space of equal wrapped axes whose correlations depend only on
-    coordinate differences, so adding one angle to every coordinate changes
-    no correlation.
+    the ten profile fields the kernels take.  shift_invariant marks a space of
+    equal wrapped axes whose correlations depend only on coordinate
+    differences, so adding one angle to every coordinate changes no
+    correlation.
     """
 
     family: str
@@ -191,13 +194,20 @@ def evaluate_point(
 # Grid search.
 
 
-def _open_mesh_blocks(kernel, space, axes, cut, chunk):
+def _open_mesh_blocks(kernel, space, axes):
     """(positions, margins) of each open-mesh block, in lexicographic order.
 
-    A block's tail is the trailing axes after `cut` plus one chunk of axis
-    `cut`; blocks run over the leading axes, then the chunk starts.  positions
-    is the range of linear lattice indices the flattened margins cover.
+    A block's tail is the trailing axes whose product fits in BLOCK_SIZE plus
+    one chunk of the axis before them; blocks run over the leading (head) axes,
+    then the chunk starts.  positions is the range of linear lattice indices
+    the flattened margins cover.
     """
+    cut = len(axes) - 1
+    inner = 1
+    while cut > 0 and inner * len(axes[cut]) <= BLOCK_SIZE:
+        inner *= len(axes[cut])
+        cut -= 1
+    chunk = BLOCK_SIZE // inner
     first = 0
     for *prefix, start in itertools.product(*axes[:cut], range(0, len(axes[cut]), chunk)):
         head = tuple(float(v) for v in prefix)
@@ -209,15 +219,14 @@ def _open_mesh_blocks(kernel, space, axes, cut, chunk):
         first += margin.size
 
 
-def _rotation_quotient(kernel, space, axes, cut, blocks):
+def _rotation_quotient(kernel, space, axes, blocks):
     """blocks, with the lattice beyond the first-index-0 slab cut to the kept orbits.
 
     Passes the slab's blocks through, keeping the slab points within
     2 _SHIFT_DELTA of the slab maximum so far.  Once more than n**2 are kept,
     the remaining blocks follow unchanged.  Otherwise the kept orbits' points
     not yet scanned follow as (positions, margins) chunks in lexicographic
-    order, each of at most BLOCK_SIZE points sharing one head (the first
-    `cut` indices), passed as Python floats as the scan passes it.
+    order, each of at most BLOCK_SIZE points, every coordinate a flat array.
     """
     n = len(axes[0])
     shape = (n,) * len(axes)
@@ -242,17 +251,13 @@ def _rotation_quotient(kernel, space, axes, cut, blocks):
             break
 
     representatives = np.stack(np.unravel_index(kept, shape), axis=-1)
-    head_span = n ** (len(axes) - cut)  # lattice points sharing one head
     for shift in range(positions.stop // slab, n):
         points = np.sort(np.ravel_multi_index(tuple(((representatives + shift) % n).T), shape))
-        for run in np.split(points, np.flatnonzero(np.diff(points // head_span)) + 1):
-            for start in range(0, len(run), BLOCK_SIZE):
-                part = run[start : start + BLOCK_SIZE]
-                index = np.unravel_index(part, shape)
-                head = tuple(float(axis[i[0]]) for axis, i in zip(axes[:cut], index))
-                tail = tuple(axis[i] for axis, i in zip(axes[cut:], index[cut:]))
-                lhs, rhs = kernel(*space.correlations(head + tail))
-                yield part, np.broadcast_to(lhs - rhs, part.shape)
+        for start in range(0, len(points), BLOCK_SIZE):
+            part = points[start : start + BLOCK_SIZE]
+            coords = tuple(axis[i] for axis, i in zip(axes, np.unravel_index(part, shape)))
+            lhs, rhs = kernel(*space.correlations(coords))
+            yield part, lhs - rhs
 
 
 def grid_search(
@@ -295,17 +300,10 @@ def grid_search(
             f"more than the {MAX_LATTICE_POINTS} one scan may cover"
         )
     axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
-
-    # the trailing axes after `cut` fit in a block, with a chunk of axis `cut`
-    cut = len(axes) - 1
-    inner = 1
-    while cut > 0 and inner * sizes[cut] <= BLOCK_SIZE:
-        inner *= sizes[cut]
-        cut -= 1
-    blocks = _open_mesh_blocks(kernel, space, axes, cut, BLOCK_SIZE // inner)
+    blocks = _open_mesh_blocks(kernel, space, axes)
     span = space.bounds[0][1] - space.bounds[0][0]
     if space.shift_invariant and abs(sizes[0] * resolution - span) <= 4.0 * math.ulp(span):
-        blocks = _rotation_quotient(kernel, space, axes, cut, blocks)
+        blocks = _rotation_quotient(kernel, space, axes, blocks)
 
     best_margin = -math.inf
     best_position = None

@@ -357,6 +357,9 @@ def test_scenario_schema_errors(capsys, tmp_path):
          "profile field e_bd must be a number"),
         ({"kind": "ghz", "ghz": {"angles_deg": [1, 2, 3, 4]}, "surprise": True},
          "scenario has unexpected keys ['surprise']"),
+        ({"kind": "ghz"}, "scenario is missing its 'ghz' parameter block"),
+        ({"kind": "ghz", "inequality": "bell", "ghz": {"angles_deg": [1, 2, 3, 4]}},
+         f"scenario inequality must be one of {cli.INEQUALITY_IDS}, got 'bell'"),
         ({"kind": "lhv", "lhv": {"weights": [1.0], "A": [0.0], "B": [0.0], "C": [0.0]}},
          "hidden-variable model is missing keys ['D']"),
         ({"kind": "lhv", "lhv": {"weights": [0.5, 0.6], "A": [1, -1], "B": [1, -1],
@@ -390,6 +393,37 @@ def test_scenario_schema_errors(capsys, tmp_path):
         assert code == 1, payload
         assert out == ""
         assert err == f"error: {message}\n", payload
+
+
+def _json_nesting_limit():
+    """The shallowest list nesting json.loads refuses when called from here."""
+    accepted, refused = 1, 100_000
+    while refused - accepted > 1:
+        depth = (accepted + refused) // 2
+        try:
+            json.loads("[" * depth + "]" * depth)
+        except RecursionError:
+            refused = depth
+        else:
+            accepted = depth
+    return refused
+
+
+@pytest.mark.parametrize("depth", [1, 100_000, "past json's limit"])
+def test_a_scenario_of_nested_lists_is_an_input_error(capsys, tmp_path, depth):
+    if depth == "past json's limit":
+        depth = _json_nesting_limit()
+    path = tmp_path / "nested.json"
+    path.write_text("[" * depth + "]" * depth)
+    message = (
+        "scenario must be a JSON object" if depth == 1 else f"{path}: scenario is nested too deeply"
+    )
+    for command in ("evaluate", "sweep"):
+        argv = ["--scenario", str(path)]
+        if command == "sweep":
+            argv += ["--axis", "0", "--range", "0:1", "--steps", "3"]
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), (command, depth)
 
 
 def test_missing_scenario_file(capsys):
@@ -514,6 +548,7 @@ def test_lhv_check_refuses_draws_it_cannot_make(capsys):
         (["--bound", "1e308"], "bound 1e+308 is too large: the width of [-bound, bound] overflows"),
         (["--points", "100000000000"], "n_points must lie between 1 and 1000000, got 100000000000"),
         (["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["--models", "0"], "--models must be at least 1"),
         (["--models", str(MAX_CHECK_MODELS + 1)],
          f"--models must be at most {MAX_CHECK_MODELS}, got {MAX_CHECK_MODELS + 1}"),
         (["--models", "1000000000000000"],

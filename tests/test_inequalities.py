@@ -1,6 +1,7 @@
 """Inequality kernels, profiles, and verdicts against hand-worked numbers."""
 
 import math
+import re
 
 import pytest
 
@@ -56,6 +57,15 @@ def test_profile_rejects_negative_variance():
     CorrelationProfile(0, 0, 0, 0, 0, 0, -1e-13, 1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "sigma, shape",
+    [([[0.0] * 3] * 3, (3, 3)), ([0.0] * 16, (16,)), ([[[0.0] * 4] * 4] * 2, (2, 4, 4))],
+)
+def test_profile_from_covariance_refuses_a_matrix_not_4x4(sigma, shape):
+    with pytest.raises(ValueError, match=re.escape(f"must be 4x4, got shape {shape}")):
+        CorrelationProfile.from_covariance(sigma)
+
+
 def test_combination_arithmetic():
     assert correlation_combination(0.3, -0.2, 0.1, 0.4) == pytest.approx(-0.4, abs=1e-15)
 
@@ -69,13 +79,14 @@ def test_general_terms_hand_computed():
 
 
 def test_general_terms_default_unit_variances():
-    lhs, rhs = general_terms(0.0, 0.0, 0.0, 0.0, -1.0, 1.0)
+    # the singlet's unit variances come from its correlation terms, not from defaults
+    lhs, rhs = general_terms(*epr_correlation_terms(-1, 0, 0, 0, 0, 1))
     assert lhs == 0.0
     assert rhs == pytest.approx(16.0, abs=1e-15)
 
 
 def test_dispersion_free_terms_hand_computed():
-    lhs, rhs = dispersion_free_terms(0.3, -0.2, 0.1, 0.4, -0.5, 0.25)
+    lhs, rhs = dispersion_free_terms(0.3, -0.2, 0.1, 0.4, -0.5, 0.25, 1.0, 1.0, 1.0, 1.0)
     # 0.16 + 4 * (-0.5) * 0.25 = -0.34
     assert lhs == pytest.approx(-0.34, abs=1e-15)
     assert rhs == 0.0
@@ -84,7 +95,7 @@ def test_dispersion_free_terms_hand_computed():
 
 def test_chsh_terms_tsirelson_point():
     r = 0.7071067811865476
-    lhs, rhs = chsh_terms(r, r, r, -r, 0.0, 0.0)
+    lhs, rhs = chsh_terms(r, r, r, -r, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
     assert lhs == pytest.approx(2.8284271247461903, abs=1e-15)
     assert rhs == 2.0
 
@@ -129,6 +140,9 @@ def test_kernels_share_the_profile_signature():
     fields = HAND_PROFILE.as_dict()
     for kernel, _ in INEQUALITIES.values():
         assert kernel(**fields) == kernel(*fields.values())
+        # no field has a default: a call with the six correlations alone is refused
+        with pytest.raises(TypeError):
+            kernel(*list(fields.values())[:6])
 
 
 def test_verdict_as_dict_keys():
@@ -139,7 +153,7 @@ def test_verdict_as_dict_keys():
 
 def test_epr_correlation_signs():
     # cross correlations flip sign, same-side ones do not
-    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd = epr_correlation_terms(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, *_ = epr_correlation_terms(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
     assert (e_ac, e_ad, e_bc, e_bd) == (-0.2, -0.3, -0.4, -0.5)
     assert (e_ab, e_cd) == (0.1, 0.6)
 
@@ -149,7 +163,7 @@ def test_epr_correlation_signs():
     [(0.0, 0.5, 1.0, 1.5), (0.3, 2.0, 0.9, 2.8), (1.1, 1.1, 0.0, 3.0)],
 )
 def test_ghz_correlations_against_inline_trig(alpha, beta, gamma, delta):
-    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd = ghz_correlation_terms(alpha, beta, gamma, delta)
+    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, *_ = ghz_correlation_terms(alpha, beta, gamma, delta)
     assert e_ac == pytest.approx(-math.cos(2 * (alpha - gamma)), abs=1e-15)
     assert e_ad == pytest.approx(-math.cos(2 * (alpha - delta)), abs=1e-15)
     assert e_bc == pytest.approx(-math.cos(2 * (beta - gamma)), abs=1e-15)
@@ -248,7 +262,7 @@ def test_ghz_closed_form_ids():
     angles = (0.1, 0.2, 0.3, 0.4)
     v = verdict_for_profile(ghz_profile_from_angles(*angles), "ghz_dispersion_free")
     assert v.inequality_id == "ghz_dispersion_free"
-    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd = ghz_correlation_terms(*angles)
+    e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, *_ = ghz_correlation_terms(*angles)
     expected = (e_ac + e_ad - e_bc - e_bd) ** 2 + 4.0 * e_ab * e_cd
     assert v.lhs == pytest.approx(expected, abs=1e-15)
     assert inequality_kernel("ghz_dispersion_free", "ghz") is dispersion_free_terms

@@ -1,11 +1,13 @@
 """Dense-matrix quantum route: states, observables, and profile agreement."""
 
+import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
 
+import belllab.quantum as quantum
 from belllab.errors import NumericsError
 from belllab.geometry import Direction, gram_of, planar
 from belllab.inequalities import epr_profile_from_dots, ghz_profile_from_angles
@@ -238,3 +240,23 @@ def test_covariance_matrix_flags_imaginary_leakage():
     non_hermitian = np.diag([0.0, 1.0j, 0.0, 0.0]) + np.eye(4)
     with pytest.raises(NumericsError):
         covariance_matrix(epr_state(), [np.eye(4), non_hermitian])
+
+
+@pytest.mark.parametrize(
+    "closed_form, build, args",
+    [
+        ("epr_profile_from_dots", epr_profile, planar([0.3, 1.1, 2.0, 2.9])),
+        ("ghz_profile_from_angles", ghz_profile, (0.1, 0.7, 1.3, 2.2)),
+    ],
+)
+def test_profile_off_its_closed_form_is_a_numerics_error(monkeypatch, closed_form, build, args):
+    # a closed form moved by 1e-9 on one field, ten times the self-check tolerance
+    honest = getattr(quantum, closed_form)
+
+    def moved(*point):
+        profile = honest(*point)
+        return dataclasses.replace(profile, e_bc=profile.e_bc + 1e-9)
+
+    monkeypatch.setattr(quantum, closed_form, moved)
+    with pytest.raises(NumericsError, match="matrix profile disagrees with closed form on e_bc by"):
+        build(*args)

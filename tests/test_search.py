@@ -311,6 +311,41 @@ def test_rotation_quotient_evaluates_only_the_kept_orbits(monkeypatch):
     assert scanned_points("chsh", "planar_epr", 3, 120) < 2 * 120**3
 
 
+def test_a_closing_lattice_leaves_at_most_one_head_axis():
+    # the largest closing lattice has n**4 <= MAX_LATTICE_POINTS; its last two
+    # axes fit in one block, so no correlation pairs two head (scalar) axes
+    assert math.isqrt(math.isqrt(search.MAX_LATTICE_POINTS)) ** 2 <= search.BLOCK_SIZE
+
+
+@pytest.mark.parametrize(
+    "kind, degrees, scale", [("planar_epr", 5, 1.0), ("ghz_angles", 2.5, 2.0), ("vectors3d", 22.5, 1.0)]
+)
+def test_trig_gives_scalars_and_every_array_layout_the_same_bits(kind, degrees, scale):
+    # the rotation quotient re-evaluates kept points as flat arrays, and small
+    # blocks pass head angles as Python floats: both return the scan's bits
+    # only if np.cos and np.sin round one argument one way, whatever its layout
+    space = SPACES[kind]
+    resolution = math.radians(degrees)
+    axes = []
+    for (lo, hi), wrapped in sorted(set(zip(space.bounds, space.wrap))):
+        steps = math.floor((hi - lo) / resolution + 1e-9)
+        axes.append(lo + resolution * np.arange(steps if wrapped else steps + 1))
+    for x, y in itertools.product(axes, repeat=2):
+        grid_x, grid_y = np.ix_(x, y)
+        grid = scale * (grid_x - grid_y)
+        flat = grid.ravel()
+        strided = np.stack((flat, -flat), axis=-1)[:, 0]
+        broadcast = np.broadcast_to(flat[:, None], (flat.size, 3))
+        for trig in (np.cos, np.sin):
+            expected = trig(flat).view(np.int64)
+            assert np.array_equal(trig(grid).ravel().view(np.int64), expected)
+            assert np.array_equal(trig(strided).view(np.int64), expected)
+            for column in trig(broadcast).T:
+                assert np.array_equal(column.view(np.int64), expected)
+            scalars = np.array([trig(value) for value in flat.tolist()])
+            assert np.array_equal(scalars.view(np.int64), expected)
+
+
 def test_grid_lex_smallest_tie_break():
     # chsh on the 90 degree lattice peaks at exactly 2.0 on many points;
     # the scan must return the lexicographically first of the exact ties
