@@ -42,9 +42,8 @@ from .inequalities import (
     epr_profile_from_dots,
     inequality_kernel,
     verdict_for_profile,
-    violates,
 )
-from .lhv import MAX_CHECK_MODELS, LhvModel, general_margins, lhv_profile, models_per_batch
+from .lhv import MAX_CHECK_MODELS, LhvModel, check_general_bound, lhv_profile
 from .quantum import epr_profile, ghz_profile
 from .search import REFINE_SHRINK, grid_search, parameter_space, refine, sweep
 
@@ -242,9 +241,13 @@ SCENARIO_KINDS = tuple(SCENARIOS)
 def load_scenario(path: str):
     """Read, check and parse a scenario file; returns (data, angles in degrees or None, build)."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")  # JSON's encoding, whatever the locale
     except OSError as exc:
         raise ValueError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: scenario is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
     try:
         data = json.loads(text)
         _reject_non_finite_numbers(data, "")
@@ -435,18 +438,9 @@ def cmd_lhv_check(args) -> tuple[str, int]:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     tolerance = _effective_tolerance(args.tolerance, None)
-    max_margin = -math.inf
-    max_margin_seed = args.seed
-    violations = 0
-    step = models_per_batch(args.points)
-    end = args.seed + args.models
-    for first in range(args.seed, end, step):
-        margins = general_margins(first, min(step, end - first), args.points, args.bound)
-        best = int(np.argmax(margins))  # the first of equal margins, as the seed order has it
-        if margins[best] > max_margin:
-            max_margin = float(margins[best])
-            max_margin_seed = first + best
-        violations += int(np.count_nonzero(violates(margins, tolerance)))
+    max_margin, max_margin_seed, violations = check_general_bound(
+        args.seed, args.models, args.points, args.bound, tolerance
+    )
     passed = violations == 0
     report = {
         "command": "lhv_check",

@@ -7,14 +7,14 @@ covariance matrix of (A, B, C, D), computed from the centered table.  The
 profile is its ten distinct entries.
 
 Random models are drawn one seed at a time: model k of a run comes from its
-own default_rng(seed + k), however the run is split.  general_margins
-evaluates such models in stacked batches of at most BATCH_TABLE_FLOATS
-table values (or of one model, where one alone holds more), so a run's
-memory does not grow with its model count.  A batch makes the same
-arithmetic per model as one LhvModel, its covariance matrix and its verdict.
-Each check is written once, on one model; a batch screens its stacked
-results and replays the per-model checks, in seed order, only when the
-screen trips.
+own default_rng(seed + k), however the run is split.  check_general_bound is
+the run, and the one place it is split: it hands general_margins batches of
+at most BATCH_TABLE_FLOATS table values (or of one model, where one alone
+holds more), so a run's memory does not grow with its model count.  A batch
+makes the same arithmetic per model as one LhvModel, its covariance matrix
+and its verdict.  Each check is written once, on one model; a batch screens
+its stacked results and replays the per-model checks, in seed order, only
+when the screen trips.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import CorrelationProfile, covariance_fields, general_terms, make_verdict
+from .inequalities import CorrelationProfile, covariance_fields, general_terms, make_verdict, violates
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -107,13 +107,9 @@ def lhv_profile(model: LhvModel) -> CorrelationProfile:
     return CorrelationProfile.from_covariance(lhv_covariance_matrix(model))
 
 
-def _check_points(n_points: int) -> None:
+def _check_draw(n_points: int, bound: float) -> None:
     if not 1 <= n_points <= MAX_MODEL_POINTS:
         raise ValueError(f"n_points must lie between 1 and {MAX_MODEL_POINTS}, got {n_points}")
-
-
-def _check_draw(n_points: int, bound: float) -> None:
-    _check_points(n_points)
     if not bound > 0.0:
         raise ValueError("bound must be positive")
     # the draw needs the width 2 * bound of [-bound, bound] as a finite float
@@ -136,12 +132,6 @@ def random_model(seed: int, n_points: int, bound: float) -> LhvModel:
     """
     _check_draw(n_points, bound)
     return LhvModel(*_draw(seed, n_points, bound))
-
-
-def models_per_batch(n_points: int) -> int:
-    """Models one general_margins call should stack: BATCH_TABLE_FLOATS table values, or one model."""
-    _check_points(n_points)
-    return max(1, BATCH_TABLE_FLOATS // (4 * n_points))
 
 
 def general_margins(first_seed: int, count: int, n_points: int, bound: float) -> np.ndarray:
@@ -180,3 +170,30 @@ def general_margins(first_seed: int, count: int, n_points: int, bound: float) ->
         _finite_covariance(sigma[k])
         make_verdict("general", lhs[k], rhs[k])
     return margins
+
+
+def check_general_bound(
+    first_seed: int, count: int, n_points: int, bound: float, tolerance: float
+) -> tuple[float, int, int]:
+    """(max_margin, max_margin_seed, violations) of random_model(first_seed + k, ...) for k < count.
+
+    The models go through general_margins in seed order, in batches of
+    BATCH_TABLE_FLOATS table values or of one model.  Only a strictly larger
+    margin replaces the maximum, so of equal margins the lowest seed is
+    reported, whatever the batching.  A violation is a margin that
+    inequalities.violates reads as one at tolerance.
+    """
+    _check_draw(n_points, bound)
+    step = max(1, BATCH_TABLE_FLOATS // (4 * n_points))
+    max_margin = -np.inf
+    max_margin_seed = first_seed
+    violations = 0
+    end = first_seed + count
+    for first in range(first_seed, end, step):
+        margins = general_margins(first, min(step, end - first), n_points, bound)
+        best = int(np.argmax(margins))  # the first of equal margins, as the seed order has it
+        if margins[best] > max_margin:
+            max_margin = float(margins[best])
+            max_margin_seed = first + best
+        violations += int(np.count_nonzero(violates(margins, tolerance)))
+    return max_margin, max_margin_seed, violations

@@ -36,15 +36,17 @@ every representative within 2 delta of the slab maximum M.  The point p* the
 full scan reports, and every point tying with it, has computed margin at
 least M, so its representative's is above M - delta and is kept.  If K, the
 number kept, stays at most N**2, only the other points of the K kept orbits
-are evaluated next, in lexicographic order, each coordinate a flat array
-gathered from its axis, which returns p* bit for bit.  A closing lattice
-within MAX_LATTICE_POINTS has N <= 316, so N**2 < BLOCK_SIZE and a block has at
-most one head axis; every correlation pairs two axes, so the scan takes no
-cosine of a scalar, and the flat pass gives each point the same operands
-through the same array ufuncs.  Otherwise (the general bound saturates on
-about 3 N**2 orbits) the plain scan continues from the next block, wasting no
-work.  Either way SearchResult.evaluations counts the whole lattice, N**4
-points.  vectors3d and lattices that do not close always take the plain scan.
+are evaluated next: one kernel call per shift, of its K points in
+lexicographic order, each coordinate a flat array gathered from its axis,
+which returns p* bit for bit.  K <= N**2 bounds that call as BLOCK_SIZE
+bounds a block.  A closing lattice within MAX_LATTICE_POINTS has N <= 316, so
+N**2 < BLOCK_SIZE and a block has at most one head axis; every correlation
+pairs two axes, so the scan takes no cosine of a scalar, and the flat pass
+gives each point the same operands through the same array ufuncs.  Otherwise
+(the general bound saturates on about 3 N**2 orbits) the plain scan continues
+from the next block, wasting no work.  Either way SearchResult.evaluations
+counts the whole lattice, N**4 points.  vectors3d and lattices that do not
+close always take the plain scan.
 """
 
 from __future__ import annotations
@@ -225,8 +227,9 @@ def _rotation_quotient(kernel, space, axes, blocks):
     Passes the slab's blocks through, keeping the slab points within
     2 _SHIFT_DELTA of the slab maximum so far.  Once more than n**2 are kept,
     the remaining blocks follow unchanged.  Otherwise the kept orbits' points
-    not yet scanned follow as (positions, margins) chunks in lexicographic
-    order, each of at most BLOCK_SIZE points, every coordinate a flat array.
+    not yet scanned follow as (positions, margins), one evaluation per shift
+    of the K <= n**2 kept points in lexicographic order, every coordinate a
+    flat array.
     """
     n = len(axes[0])
     shape = (n,) * len(axes)
@@ -253,11 +256,9 @@ def _rotation_quotient(kernel, space, axes, blocks):
     representatives = np.stack(np.unravel_index(kept, shape), axis=-1)
     for shift in range(positions.stop // slab, n):
         points = np.sort(np.ravel_multi_index(tuple(((representatives + shift) % n).T), shape))
-        for start in range(0, len(points), BLOCK_SIZE):
-            part = points[start : start + BLOCK_SIZE]
-            coords = tuple(axis[i] for axis, i in zip(axes, np.unravel_index(part, shape)))
-            lhs, rhs = kernel(*space.correlations(coords))
-            yield part, lhs - rhs
+        coords = tuple(axis[i] for axis, i in zip(axes, np.unravel_index(points, shape)))
+        lhs, rhs = kernel(*space.correlations(coords))
+        yield points, lhs - rhs
 
 
 def grid_search(

@@ -2,16 +2,23 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import belllab.cli as cli
+import belllab.lhv as lhv
 from belllab.errors import NumericsError
 from belllab.inequalities import VIOLATION_TOL, verdict_for_profile
-from belllab.lhv import MAX_CHECK_MODELS, lhv_profile, models_per_batch, random_model
+from belllab.lhv import MAX_CHECK_MODELS, lhv_profile, random_model
 from belllab.search import MAX_SWEEP_STEPS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -426,6 +433,36 @@ def test_a_scenario_of_nested_lists_is_an_input_error(capsys, tmp_path, depth):
         assert (code, out, err) == (1, "", f"error: {message}\n"), (command, depth)
 
 
+GHZ_ANGLES = b'"ghz": {"angles_deg": [45, 60, 120, 150]}'
+
+
+def test_a_scenario_that_is_not_utf8_names_its_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "ghz", ' + GHZ_ANGLES + b', "inequality": "ghz_general\xff"}')
+    code, out, err = run(capsys, "evaluate", "--scenario", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: scenario is not UTF-8 text: invalid start byte at byte 85\n"
+
+
+def test_a_scenario_is_read_as_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "accent.json"
+    path.write_bytes(
+        b'{"kind": "ghz", ' + GHZ_ANGLES + b', "inequality": "' + "général".encode() + b'"}'
+    )
+    # the C locale decodes files as ASCII unless told otherwise
+    env = dict(
+        os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(SRC)
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "belllab.cli", "evaluate", "--scenario", str(path)],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    # stderr is ASCII under this locale, so the accents print escaped
+    assert done.stderr.startswith(b"error: scenario inequality must be one of ("), done.stderr
+    assert done.stderr.endswith(b"got 'g\\xe9n\\xe9ral'\n"), done.stderr
+
+
 def test_missing_scenario_file(capsys):
     code, _, err = run(capsys, "evaluate", "--scenario", "/no/such/file.json")
     assert code == 1
@@ -562,7 +599,7 @@ def test_lhv_check_refuses_draws_it_cannot_make(capsys):
 
 def test_lhv_check_failure_exits_two(capsys, monkeypatch):
     # every model of the batch reads a margin above tolerance
-    monkeypatch.setattr(cli, "general_margins", lambda first, count, *a: np.full(count, 0.5))
+    monkeypatch.setattr(lhv, "general_margins", lambda first, count, *a: np.full(count, 0.5))
     code, out, _ = run(capsys, "lhv-check", "--models", "3")
     assert code == 2
     report = json.loads(out)
@@ -606,7 +643,7 @@ def batched_lhv_check(capsys, *argv):
 def test_lhv_check_matches_the_per_model_loop(capsys, points):
     # 513 points leave part of BATCH_TABLE_FLOATS unused; batch + 1 models
     # leave a partial last batch
-    batch = models_per_batch(points)
+    batch = max(1, lhv.BATCH_TABLE_FLOATS // (4 * points))
     for models in (batch - 1, batch, batch + 1):
         got = batched_lhv_check(capsys, "--models", str(models), "--points", str(points))
         assert got == reference_lhv_check(models, points, 5.0), models

@@ -17,7 +17,6 @@ from belllab.lhv import (
     general_margins,
     lhv_covariance_matrix,
     lhv_profile,
-    models_per_batch,
     random_model,
 )
 
@@ -284,6 +283,34 @@ def test_batched_margins_refuse_what_random_model_refuses():
             general_margins(0, 3, n_points, bound)
 
 
+@pytest.mark.parametrize("n_points", [1, 8, 513, 2048])
+def test_check_general_bound_splits_the_run_into_seed_ordered_batches(monkeypatch, n_points):
+    margins = lhv.general_margins
+    calls = []
+
+    def recording_margins(first_seed, count, *args):
+        calls.append((first_seed, count))
+        return margins(first_seed, count, *args)
+
+    monkeypatch.setattr(lhv, "general_margins", recording_margins)
+    step = max(1, lhv.BATCH_TABLE_FLOATS // (4 * n_points))
+    seed, models = 5, 2 * step + 3
+    lhv.check_general_bound(seed, models, n_points, 5.0, 1e-9)
+    starts = [first for first, _ in calls]
+    assert starts == list(range(seed, seed + models, step))
+    assert all(count == step for _, count in calls[:-1])
+    assert 1 <= calls[-1][1] <= step
+    assert sum(count for _, count in calls) == models
+
+
+def test_check_general_bound_reports_the_lowest_seed_of_equal_margins(monkeypatch):
+    # every batch reads the same margins, so only the first batch's first maximum counts
+    monkeypatch.setattr(lhv, "general_margins", lambda first, count, *a: np.zeros(count))
+    assert lhv.check_general_bound(7, 100, 512, 5.0, 1e-9) == (0.0, 7, 0)
+    monkeypatch.setattr(lhv, "general_margins", lambda first, count, *a: np.full(count, 0.5))
+    assert lhv.check_general_bound(7, 100, 512, 5.0, 1e-9) == (0.5, 7, 100)
+
+
 # faults no seeded draw makes, each applied to the draw of one seed
 FAULTS = {
     # the weight of point 0 moves twice over to point 1, so the sum stays 1
@@ -329,7 +356,7 @@ def test_batched_margins_raise_the_error_of_the_first_faulty_seed(monkeypatch, f
         return weights, tables
 
     monkeypatch.setattr(lhv, "_draw", faulty_draw)
-    assert models_per_batch(8) >= 12  # one batch holds all 12 models
+    assert lhv.BATCH_TABLE_FLOATS // 32 >= 12  # one batch holds all 12 eight-point models
     errors = {seed: _first_model_error(*faulty_draw(seed, 8, 5.0)) for seed in faults}
     expected = errors.pop(min(faults))
     assert expected is not None

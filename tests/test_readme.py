@@ -1,7 +1,10 @@
-"""The README's Library section runs against this checkout and names the whole public surface."""
+"""The README's commands and Library example run against this checkout, which they document."""
 
+import csv
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +45,36 @@ def test_readme_library_section_lists_every_public_name():
     section = _library_section()
     for name in belllab.__all__:
         assert f"`{name}`" in section, name
+
+
+def _readme_command_lines() -> list[str]:
+    """Every `belllab ...` line of a fenced block of the README."""
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("belllab ")]
+
+
+def test_readme_command_lines_run_against_src(capsys, monkeypatch, tmp_path):
+    import belllab.cli as cli
+
+    assert Path(cli.__file__).resolve().is_relative_to(ROOT / "src")
+    # ghz.json is the README's ghz scenario
+    readme = (ROOT / "README.md").read_text()
+    (tmp_path / "ghz.json").write_text(re.search(r'^\{"kind": "ghz".*\}$', readme, re.M).group(0))
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_command_lines()
+    # a synopsis with [optional] parts is not a command: only evaluate's is one
+    commands = [line for line in lines if "[" not in line]
+    assert [line.split()[1] for line in lines if line not in commands] == ["evaluate"]
+    assert len(commands) == 6
+    for command in commands:
+        code = cli.main(shlex.split(command)[1:])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), command
+        if "sweep" in command and "--format json" not in command:
+            header, *rows = csv.reader(out.splitlines())
+            assert header == ["coord", "lhs", "rhs", "margin"], command
+            assert rows, command
+            for row in rows:
+                assert len([float(value) for value in row]) == 4, command
+        else:
+            assert isinstance(json.loads(out), dict), command

@@ -297,18 +297,34 @@ def test_rotation_quotient_evaluates_only_the_kept_orbits(monkeypatch):
         assert result.evaluations == n**4
         return sum(evaluated) - 1  # the reported optimum is evaluated once more
 
+    def calls_after_the_slab(n):
+        # the slab's blocks end exactly at n**3 points; the last call is the optimum's
+        ends = list(itertools.accumulate(evaluated))
+        return evaluated[ends.index(n**3) + 1 : -1]
+
     # 72 points per axis: the first-index-0 slab, then the other 71 points of
-    # each of K kept orbits, K = 2 for dispersion_free and 4 for chsh
+    # each of K kept orbits, K = 2 for dispersion_free and 4 for chsh, in one
+    # kernel call of K points per shift
     n = 72
     assert scanned_points("dispersion_free", "planar_epr", 5, n) == n**3 + 2 * (n - 1)
+    assert calls_after_the_slab(n) == [2] * (n - 1)
     assert scanned_points("chsh", "planar_epr", 5, n) == n**3 + 4 * (n - 1)
+    assert calls_after_the_slab(n) == [4] * (n - 1)
     assert scanned_points("ghz_dispersion_free", "ghz_angles", 2.5, n) == n**3 + 2 * (n - 1)
+    assert calls_after_the_slab(n) == [2] * (n - 1)
     # the general bound keeps more than n**2 orbits, and 7 degrees does not close
     assert scanned_points("general", "planar_epr", 5, n) == n**4
     assert scanned_points("general", "planar_epr", 7, 51) == 51**4
     # a lattice one ulp off its period still closes
     assert abs(120 * math.radians(3.0) - 2.0 * math.pi) == math.ulp(2.0 * math.pi)
     assert scanned_points("chsh", "planar_epr", 3, 120) < 2 * 120**3
+    after = calls_after_the_slab(120)
+    assert len(after) == 119 and len(set(after)) == 1 and after[0] <= 120**2
+    # K <= n**2 bounds each shift's call, not BLOCK_SIZE: 24 kept orbits
+    # at 30 degrees take one call per shift even with blocks of 7 points
+    monkeypatch.setattr(search, "BLOCK_SIZE", 7)
+    assert scanned_points("chsh", "planar_epr", 30, 12) == 12**3 + 24 * 11
+    assert calls_after_the_slab(12) == [24] * 11
 
 
 def test_a_closing_lattice_leaves_at_most_one_head_axis():
