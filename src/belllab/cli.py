@@ -41,26 +41,21 @@ from .inequalities import (
     correlation_combination,
     epr_profile_from_dots,
     inequality_kernel,
+    make_verdict,
     verdict_for_profile,
 )
 from .lhv import MAX_CHECK_MODELS, LhvModel, check_general_bound, lhv_profile
 from .quantum import epr_profile, ghz_profile
-from .search import REFINE_SHRINK, grid_search, parameter_space, refine, sweep
+from .search import REFINE_SHRINK, SPACE_KINDS, grid_search, parameter_space, refine, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 
-SPACE_BY_CLI_NAME = {
-    "planar-epr": "planar_epr",
-    "ghz-angles": "ghz_angles",
-    "vectors3d": "vectors3d",
-}
-
-#: search --resolution in degrees when none is given.  22.5 divides 45, so the
-#: vectors3d lattice still holds the CHSH and dispersion-free optima, at 2.7e7
-#: points where 5 degrees would be 7.0e11, beyond the lattice limit.
-DEFAULT_RESOLUTION_DEG = {"planar-epr": 5.0, "ghz-angles": 5.0, "vectors3d": 22.5}
+#: search --resolution in degrees when none is given, by space kind.  22.5
+#: divides 45, so the vectors3d lattice still holds the CHSH and dispersion-free
+#: optima, at 2.7e7 points where 5 degrees would be 7.0e11, beyond the lattice limit.
+DEFAULT_RESOLUTION_DEG = {"planar_epr": 5.0, "ghz_angles": 5.0, "vectors3d": 22.5}
 
 # Reference configurations quoted from the published account of these
 # inequalities, kept verbatim so the discrepancy ledger has fixed targets.
@@ -98,7 +93,8 @@ def _build_parser() -> _Parser:
 
     se = commands.add_parser("search", help="grid-search a parameter space for the largest margin")
     se.add_argument("--inequality", required=True, choices=INEQUALITY_IDS)
-    se.add_argument("--space", required=True, choices=tuple(SPACE_BY_CLI_NAME))
+    se.add_argument("--space", required=True,
+                    choices=tuple(kind.replace("_", "-") for kind in SPACE_KINDS))
     se.add_argument("--resolution", type=float, default=None, help="lattice resolution in degrees")
     se.add_argument("--refine", action="store_true", help="compass-refine the grid optimum")
     se.add_argument("--tolerance", type=float, default=None)
@@ -391,29 +387,28 @@ def _reproduce_ghz(tolerance: float) -> dict:
 
 def cmd_search(args) -> tuple[str, int]:
     tolerance = _effective_tolerance(args.tolerance, None)
-    space = parameter_space(SPACE_BY_CLI_NAME[args.space])
+    kind = args.space.replace("-", "_")
+    space = parameter_space(kind)
     degrees = args.resolution
     if degrees is None:
-        degrees = DEFAULT_RESOLUTION_DEG[args.space]
+        degrees = DEFAULT_RESOLUTION_DEG[kind]
     resolution = math.radians(degrees)
-    grid = grid_search(args.inequality, space, resolution, tolerance)
+    grid = grid_search(args.inequality, space, resolution)
     report = {
         "command": "search",
         "inequality": args.inequality,
         "space": args.space,
         "resolution_deg": degrees,
         "tolerance": tolerance,
-        "grid": _search_result_dict(grid),
+        "grid": _search_result_dict(grid, tolerance),
         "refine": None,
     }
     if args.refine:
         initial_step = resolution / 2.0
         min_step = resolution / 4096.0
-        refined = refine(
-            args.inequality, space, grid.best_params, initial_step, min_step, tolerance
-        )
+        refined = refine(args.inequality, space, grid.best_params, initial_step, min_step)
         report["refine"] = {
-            **_search_result_dict(refined),
+            **_search_result_dict(refined, tolerance),
             "initial_step_deg": math.degrees(initial_step),
             "shrink": REFINE_SHRINK,
             "min_step_deg": math.degrees(min_step),
@@ -421,11 +416,13 @@ def cmd_search(args) -> tuple[str, int]:
     return _json_text(report), EXIT_OK
 
 
-def _search_result_dict(result) -> dict:
+def _search_result_dict(result, tolerance: float) -> dict:
+    # search labels its verdicts at VIOLATION_TOL; the report labels them at tolerance
+    verdict = result.best_verdict
     return {
         "best_params_rad": list(result.best_params),
         "best_params_deg": [math.degrees(v) for v in result.best_params],
-        "verdict": result.best_verdict.as_dict(),
+        "verdict": make_verdict(verdict.inequality_id, verdict.lhs, verdict.rhs, tolerance).as_dict(),
         "evaluations": result.evaluations,
     }
 
@@ -470,6 +467,9 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise ValueError(
             f"--range must hold two distinct finite numbers a finite width apart, got {text!r}"
         )
+    # the sweep runs in radians, where two subnormal degree values can round equal
+    if math.radians(lo) == math.radians(hi):
+        raise ValueError(f"--range must hold endpoints that stay distinct in radians, got {text!r}")
     return lo, hi
 
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inequalities
-from .inequalities import VIOLATION_TOL, InequalityVerdict, inequality_kernel, make_verdict
+from .inequalities import InequalityVerdict, inequality_kernel, make_verdict
 
 #: Most points one grid scan covers, so a scan's run time is bounded before it starts.
 MAX_LATTICE_POINTS = 10**10
@@ -180,16 +180,11 @@ def _point(space: ParameterSpace, values) -> tuple[float, ...]:
     return coords
 
 
-def evaluate_point(
-    inequality_id: str,
-    space: ParameterSpace,
-    coords,
-    tolerance: float = VIOLATION_TOL,
-) -> InequalityVerdict:
+def evaluate_point(inequality_id: str, space: ParameterSpace, coords) -> InequalityVerdict:
     """Evaluate one parameter point with the same arithmetic the lattice scan uses."""
     kernel = inequality_kernel(inequality_id, space.family)
     lhs, rhs = kernel(*space.correlations(_point(space, coords)))
-    return make_verdict(inequality_id, lhs, rhs, tolerance)
+    return make_verdict(inequality_id, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +256,7 @@ def _rotation_quotient(kernel, space, axes, blocks):
         yield points, lhs - rhs
 
 
-def grid_search(
-    inequality_id: str,
-    space: ParameterSpace,
-    resolution: float,
-    tolerance: float = VIOLATION_TOL,
-) -> SearchResult:
+def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) -> SearchResult:
     """Exhaustive lattice scan returning the maximum-margin point.
 
     Computed float64 margins compare exactly, and equal ones resolve to the
@@ -275,7 +265,9 @@ def grid_search(
     so blocking cannot change the result.  On a shift-invariant space whose
     lattice closes, the rotation quotient of the module docstring skips the
     orbits that cannot hold the optimum and returns the identical result;
-    evaluations always counts every lattice point.
+    evaluations always counts every lattice point.  The verdict is labelled
+    at VIOLATION_TOL, as refine's is; a caller with another tolerance
+    relabels it with make_verdict.
     """
     kernel = inequality_kernel(inequality_id, space.family)
     if not resolution > 0.0:
@@ -318,7 +310,7 @@ def grid_search(
     assert best_position is not None
     best_index = np.unravel_index(best_position, sizes)
     best_coords = tuple(float(axis[i]) for axis, i in zip(axes, best_index))
-    best_verdict = evaluate_point(inequality_id, space, best_coords, tolerance)
+    best_verdict = evaluate_point(inequality_id, space, best_coords)
     return SearchResult(best_coords, best_verdict, total)
 
 
@@ -338,12 +330,7 @@ def _move(space: ParameterSpace, coords: tuple[float, ...], axis: int, delta: fl
 
 
 def refine(
-    inequality_id: str,
-    space: ParameterSpace,
-    start,
-    initial_step: float,
-    min_step: float,
-    tolerance: float = VIOLATION_TOL,
+    inequality_id: str, space: ParameterSpace, start, initial_step: float, min_step: float
 ) -> SearchResult:
     """Coordinate-wise compass ascent from start.
 
@@ -361,7 +348,7 @@ def refine(
         if not lo <= value <= hi:
             raise ValueError(f"start coordinate {value!r} outside interval ({lo!r}, {hi!r})")
 
-    verdict = evaluate_point(inequality_id, space, current, tolerance)
+    verdict = evaluate_point(inequality_id, space, current)
     evaluations = 1
     if initial_step <= min_step:
         return SearchResult(current, verdict, evaluations)
@@ -373,7 +360,7 @@ def refine(
                 candidate = _move(space, current, axis, delta)
                 if candidate == current:
                     continue
-                probe = evaluate_point(inequality_id, space, candidate, tolerance)
+                probe = evaluate_point(inequality_id, space, candidate)
                 evaluations += 1
                 if probe.margin > verdict.margin:
                     current, verdict = candidate, probe

@@ -1,0 +1,49 @@
+"""tools/bytecheck.py: digests of a few argv, and how differences meet declarations."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bytecheck  # noqa: E402
+
+ARGV = [
+    ["--version"],
+    ["lhv-check", "--models", "0"],
+    ["search", "--inequality", "chsh", "--space", "planar-epr", "--resolution", "45"],
+    ["search", "--inequality", "chsh", "--space", "planar-epr", "--resolution", "45",
+     "--tolerance", "1"],
+]
+
+
+def test_a_tree_compared_with_itself_shows_no_difference(tmp_path):
+    runs = bytecheck.digests({"base": ROOT, "head": ROOT}, ARGV, tmp_path)
+    assert runs["base"] == runs["head"]
+    # every argv gets its own digest, and the tolerance moves the search report
+    assert len(set(runs["head"].values())) == len(ARGV)
+    assert bytecheck.compare(runs["base"], runs["head"], []) == ([], [])
+
+
+def test_differences_must_match_the_declarations_exactly():
+    base = {"reproduce epr": "1", "sweep --range 0:1e-322": "2", "--version": "3"}
+    head = dict(base, **{"sweep --range 0:1e-322": "4"})
+    assert bytecheck.compare(base, head, []) == ([], ["undeclared: sweep --range 0:1e-322"])
+    assert bytecheck.compare(base, head, ["sweep --range *e-322"]) == (
+        ["declared:   sweep --range 0:1e-322"], []
+    )
+    lines, problems = bytecheck.compare(base, head, ["sweep *", "reproduce *"])
+    assert lines == ["declared:   sweep --range 0:1e-322"]
+    assert problems == ["stale declaration, matches no difference: reproduce *"]
+
+
+def test_the_corpus_holds_the_readme_commands_and_their_scenarios(tmp_path):
+    argvs = bytecheck.corpus(tmp_path)
+    joined = [" ".join(argv) for argv in argvs]
+    assert len(set(joined)) == len(joined)
+    for line in bytecheck.readme_command_lines(ROOT / "README.md"):
+        assert "[" in line or line.removeprefix("belllab ") in joined, line
+    for argv in argvs:
+        if "--scenario" in argv:
+            assert (tmp_path / argv[argv.index("--scenario") + 1]).is_file(), argv
+

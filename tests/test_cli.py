@@ -530,6 +530,26 @@ def test_search_ghz_space(capsys):
     assert report["grid"]["verdict"]["violated"] is True
 
 
+def test_search_tolerance_labels_both_reported_verdicts(capsys):
+    argv = ("search", "--inequality", "chsh", "--space", "planar-epr", "--resolution", "45",
+            "--refine")
+    reports = []
+    for extra in ((), ("--tolerance", "1")):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    default, loose = reports
+    for part in ("grid", "refine"):
+        # the CHSH margin 2 sqrt 2 - 2 = 0.828... lies between the two tolerances
+        assert default[part]["verdict"]["margin"] == pytest.approx(2.0 * math.sqrt(2.0) - 2.0)
+        assert default[part]["verdict"]["violated"] is True
+        assert loose[part]["verdict"]["violated"] is False
+        for report in (default, loose):
+            del report[part]["verdict"]["violated"]
+    del default["tolerance"], loose["tolerance"]
+    assert loose == default
+
+
 def test_search_space_mismatch_exits_one(capsys):
     code, _, err = run(
         capsys, "search", "--inequality", "ghz_general", "--space", "planar-epr"
@@ -786,7 +806,9 @@ def test_sweep_rejects_malformed_range(capsys, tmp_path):
         "ghz.json",
         {"kind": "ghz", "inequality": "general", "ghz": {"angles_deg": [0, 10, 20, 30]}},
     )
-    for bad in ("0", "0:10:20", "a:b", "1e308:-1e308", "10:10", "0:inf", "nan:5"):
+    # the last three are distinct in degrees but round to one value in radians
+    for bad in ("0", "0:10:20", "a:b", "1e308:-1e308", "10:10", "0:inf", "nan:5",
+                "0:1e-322", "0:5e-324", "-5e-324:5e-324"):
         code, out, err = run(
             capsys, "sweep", "--scenario", path, "--axis", "0", "--range", bad, "--steps", "3"
         )

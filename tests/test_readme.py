@@ -10,6 +10,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+from bytecheck import readme_command_lines  # noqa: E402  (one extractor, shared with the byte check)
 
 
 def _library_section() -> str:
@@ -47,12 +50,6 @@ def test_readme_library_section_lists_every_public_name():
         assert f"`{name}`" in section, name
 
 
-def _readme_command_lines() -> list[str]:
-    """Every `belllab ...` line of a fenced block of the README."""
-    blocks = re.findall(r"```[a-z]*\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    return [line for block in blocks for line in block.splitlines() if line.startswith("belllab ")]
-
-
 def test_readme_command_lines_run_against_src(capsys, monkeypatch, tmp_path):
     import belllab.cli as cli
 
@@ -61,7 +58,7 @@ def test_readme_command_lines_run_against_src(capsys, monkeypatch, tmp_path):
     readme = (ROOT / "README.md").read_text()
     (tmp_path / "ghz.json").write_text(re.search(r'^\{"kind": "ghz".*\}$', readme, re.M).group(0))
     monkeypatch.chdir(tmp_path)
-    lines = _readme_command_lines()
+    lines = readme_command_lines(ROOT / "README.md")
     # a synopsis with [optional] parts is not a command: only evaluate's is one
     commands = [line for line in lines if "[" not in line]
     assert [line.split()[1] for line in lines if line not in commands] == ["evaluate"]
