@@ -8,6 +8,8 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import bytecheck  # noqa: E402
 
+from belllab import lhv  # noqa: E402
+
 ARGV = [
     ["--version"],
     ["lhv-check", "--models", "0"],
@@ -47,3 +49,8 @@ def test_the_corpus_holds_the_readme_commands_and_their_scenarios(tmp_path):
         if "--scenario" in argv:
             assert (tmp_path / argv[argv.index("--scenario") + 1]).is_file(), argv
 
+
+def test_the_edge_argv_reach_both_sides_of_the_stacked_draw_cut_off():
+    points = {argv[argv.index("--points") + 1] for argv in bytecheck.EDGE_ARGV if "--points" in argv}
+    cut = lhv.STACKED_DRAW_MAX_POINTS
+    assert {str(cut), str(cut + 1)} <= points

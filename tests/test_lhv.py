@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belllab import cli, lhv
+from belllab import _streams, cli, lhv
 from belllab.errors import NumericsError
 from belllab.inequalities import verdict_for_profile
 from belllab.lhv import (
@@ -271,6 +271,78 @@ def test_batched_margins_are_the_per_model_margins():
         assert [m.hex() for m in margins.tolist()] == [v.margin.hex() for v in expected]
 
 
+CUT = lhv.STACKED_DRAW_MAX_POINTS
+
+
+@pytest.mark.parametrize(
+    "first_seed, count, n_points, stacked",
+    [
+        (0, 4096, 8, True),
+        (10**9, 300, 1, True),
+        (77, 64, CUT, True),
+        (77, 64, CUT + 1, False),
+        (2**32 - 300, 600, 8, True),  # one and two entropy words
+        (2**64 - 200, 200, 3, True),  # up to the last seed below 2**64
+        (2**64 - 100, 200, 8, False),  # across 2**64
+        (2**70, 3, 8, False),
+        (5, 1, 8, False),  # one model
+    ],
+)
+def test_batch_draws_are_the_per_seed_draws_bit_for_bit(monkeypatch, first_seed, count, n_points, stacked):
+    mirror = _streams.draw
+    mirrored = []
+
+    def recording_mirror(*args):
+        mirrored.append(mirror(*args))
+        return mirrored[-1]
+
+    monkeypatch.setattr(_streams, "draw", recording_mirror)
+    drawn = lhv._draws(first_seed, count, n_points, 5.0)
+    assert len(mirrored) == int(stacked)
+    # the stacked draw itself, not only what the guard lets through
+    for weights, tables in [drawn, *mirrored]:
+        assert weights.shape == (count, n_points) and tables.shape == (count, 4, n_points)
+        for k in range(count):
+            expected = lhv._draw(first_seed + k, n_points, 5.0)
+            assert weights[k].tobytes() == expected[0].tobytes()
+            assert tables[k].tobytes() == expected[1].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 2),
+    st.integers(1, CUT),
+    st.floats(1e-300, sys.float_info.max / 2.0),
+)
+def test_stacked_draw_is_the_per_seed_draw_for_any_seed_below_2_64(first_seed, n_points, bound):
+    weights, tables = _streams.draw(first_seed, 2, n_points, bound)
+    for k in range(2):
+        expected = lhv._draw(first_seed + k, n_points, bound)
+        assert weights[k].tobytes() == expected[0].tobytes()
+        assert tables[k].tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("field", [0, 1], ids=["weights", "tables"])
+def test_a_stacked_batch_unlike_the_per_seed_draw_is_drawn_per_seed(monkeypatch, field):
+    margins = general_margins(3, 256, 8, 5.0)
+    run = lhv.check_general_bound(3, 1000, 8, 5.0, 1e-9)
+    mirror = _streams.draw
+    drifted = []
+
+    # numpy's stream moves: model 0's first weight or table value changes by
+    # 2**10 ulp, which moves its margin but keeps its weights summing to 1
+    def drifted_draw(*args):
+        drawn = mirror(*args)
+        drawn[field][0].reshape(-1).view(np.uint64)[0] ^= np.uint64(1 << 10)
+        drifted.append(args)
+        return drawn
+
+    monkeypatch.setattr(_streams, "draw", drifted_draw)
+    assert general_margins(3, 256, 8, 5.0).tobytes() == margins.tobytes()
+    assert lhv.check_general_bound(3, 1000, 8, 5.0, 1e-9) == run
+    assert len(drifted) == 1 + 4  # one batch, then the run's four
+
+
 def test_batched_margins_refuse_what_random_model_refuses():
     for n_points, bound, message in [
         (0, 1.0, "n_points must lie between 1 and 1000000"),
@@ -311,7 +383,7 @@ def test_check_general_bound_reports_the_lowest_seed_of_equal_margins(monkeypatc
     assert lhv.check_general_bound(7, 100, 512, 5.0, 1e-9) == (0.5, 7, 100)
 
 
-# faults no seeded draw makes, each applied to the draw of one seed
+# faults no seeded draw makes, each applied to the drawn model of one seed
 FAULTS = {
     # the weight of point 0 moves twice over to point 1, so the sum stays 1
     "negative weight": lambda w, t: (w + w[0] * np.array([-2.0, 2.0] + [0.0] * (w.size - 2)), t),
@@ -347,17 +419,22 @@ def _first_model_error(weights, tables):
     ],
 )
 def test_batched_margins_raise_the_error_of_the_first_faulty_seed(monkeypatch, faults):
-    draw = lhv._draw
+    draws = lhv._draws
 
-    def faulty_draw(seed, n_points, bound):
-        weights, tables = draw(seed, n_points, bound)
-        if seed in faults:
-            return FAULTS[faults[seed]](weights, tables)
+    # the batch's models are drawn together, so each fault goes into its seed's row
+    def faulty_draws(first_seed, count, n_points, bound):
+        weights, tables = draws(first_seed, count, n_points, bound)
+        for seed, fault in faults.items():
+            row = seed - first_seed
+            weights[row], tables[row] = FAULTS[fault](weights[row], tables[row])
         return weights, tables
 
-    monkeypatch.setattr(lhv, "_draw", faulty_draw)
+    monkeypatch.setattr(lhv, "_draws", faulty_draws)
     assert lhv.BATCH_TABLE_FLOATS // 32 >= 12  # one batch holds all 12 eight-point models
-    errors = {seed: _first_model_error(*faulty_draw(seed, 8, 5.0)) for seed in faults}
+    errors = {
+        seed: _first_model_error(*FAULTS[fault](*lhv._draw(seed, 8, 5.0)))
+        for seed, fault in faults.items()
+    }
     expected = errors.pop(min(faults))
     assert expected is not None
     assert expected not in errors.values()  # the message tells which seed raised

@@ -53,6 +53,16 @@ EDGE_ARGV = (
     ("search", "--help"),
     ("lhv-check", "--models", "0"),
     ("lhv-check", "--seed", "-1"),
+    # the stacked draw of small models (belllab.lhv.STACKED_DRAW_MAX_POINTS = 40):
+    # seeds of one and two 32-bit words, a batch across 2**64, a seed past it,
+    # and the point counts on either side of the cut-off
+    ("lhv-check", "--seed", "4294967000", "--models", "600"),
+    ("lhv-check", "--seed", "18446744073709551000", "--models", "1000"),
+    ("lhv-check", "--seed", "1180591620717411303424", "--models", "1000"),
+    ("lhv-check", "--points", "40", "--models", "1000"),
+    ("lhv-check", "--points", "41", "--models", "1000"),
+    # two-point models saturate the general bound, so roundoff decides their verdicts
+    ("lhv-check", "--points", "2", "--bound", "1000", "--models", "2000"),
     (*_SEARCH, "vectors3d"),
     (*_SEARCH, "nowhere"),
     (*_SEARCH, "planar-epr", "--resolution", "45", "--tolerance", "1", "--refine"),
