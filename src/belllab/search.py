@@ -1,8 +1,8 @@
 """Derivative-free maximization of inequality margins over measurement parameters.
 
 One table, SPACES, is the only place a search space is described: bounds,
-wrap flags, the state family it models, its coordinates -> correlations map
-and whether a common shift of every coordinate leaves that map unchanged.
+wrap flags, the state family it models, its coordinates -> correlations map,
+the lattice symmetries of that map and the arguments of its sines and cosines.
 
 * planar_epr: four planar angles, one per singlet measurement axis.
 * ghz_angles: four planar angles for the pair-product observables; the
@@ -20,37 +20,54 @@ uses.  Every elementwise operation sees the operands it would on a dense
 meshgrid, so a reported optimum re-evaluates to identical numbers, and a term
 depending on two tail axes costs one evaluation per pair of axis values, not
 one per point.  Ties compare the computed float64 margins exactly and go to the
-lexicographically first lattice index, which a lexicographic scan with strict
-improvement gives whatever the blocking.
+lexicographically first (smallest linear) lattice index: each block's
+np.argmax is its first maximum, and blocks fold in any order.
 
-Rotation quotient.  The planar_epr and ghz_angles correlations depend on the
-angles only through their differences (-cos(a - c), ..., -cos 2(alpha -
-gamma), ...).  When the N lattice steps of a wrapped axis span its period to
-within a few ulp, shifting every index by s (mod N) is an exact symmetry of
-the margin, so each orbit of N points has one representative with first
-index 0.  Computed margins are not exactly invariant: the premise, pinned by
-a property test, is that a point's and its shift's computed margins differ by
-at most delta = 1e-12 (measured worst case about 2e-14).  The scan therefore
-runs its blocks over the first-index-0 slab (N**3 points) as usual and keeps
-every representative within 2 delta of the slab maximum M.  The point p* the
-full scan reports, and every point tying with it, has computed margin at
-least M, so its representative's is above M - delta and is kept.  If K, the
-number kept, stays at most N**2, only the other points of the K kept orbits
-are evaluated next: one kernel call per shift, of its K points in
-lexicographic order, each coordinate a flat array gathered from its axis,
-which returns p* bit for bit.  K <= N**2 bounds that call as BLOCK_SIZE
-bounds a block.  A closing lattice within MAX_LATTICE_POINTS has N <= 316, so
-N**2 < BLOCK_SIZE and a block has at most one head axis; every correlation
-pairs two axes, so the scan takes no cosine of a scalar, and the flat pass
-gives each point the same operands through the same array ufuncs.  Otherwise
-(the general bound saturates on about 3 N**2 orbits) the plain scan continues
-from the next block, wasting no work.  Either way SearchResult.evaluations
-counts the whole lattice, N**4 points.  vectors3d and lattices that do not
-close always take the plain scan.
+Kept-orbit pass.  Each space lists its symmetries in SPACES: groups of index
+maps i -> (offset + sign * i) mod n applied to a set of axes at once, each
+exact when the lattice steps of its axes close their interval (span it to
+within 4 ulp).  planar_epr and ghz_angles depend on the angles only through
+their differences, so shifting all four indices by one step is exact.  On
+vectors3d, z -> -z takes each polar index i to P - 1 - i and y -> -y each
+azimuth index k to (N - k) mod N; both keep every dot product.  The
+symmetries that close generate a group G.  The box keeps, on the first axis
+of each, only the indices that are the least image of some index (first index
+0 under the shifts; theta_a <= 90 and phi_b <= 180 degrees under the
+reflections), so it holds an image of every lattice point.
+
+Computed margins are not exactly invariant: the premise, pinned by property
+tests, is that a point's and its image's computed margins differ by at most
+delta = 1e-12 (measured worst case about 2e-14).  The pass scans the box in
+blocks as usual, keeps every box point within 2 delta of the box maximum M,
+and evaluates every non-identity image of the K kept points, one kernel call
+per map of G, each coordinate a flat array gathered from its axis.  This is
+exact, for every symmetry.  The point p* the full scan reports has margin at
+least M and an image q in the box with margin at least M - delta, so q is
+kept and every image of q, p* among them, is evaluated.  A point whose box
+image was not kept has margin below M - delta, so it neither beats nor ties
+p*.  The largest margin, and of equal ones the smallest linear index, is
+therefore the full scan's answer, whatever order the points come in.
+
+Three premises are checked as the pass runs; a failure hands whatever the pass
+has not covered to the plain scan, so the result is the full scan's either way.
+Before the box, np.cos and np.sin must round every argument the space's
+correlations take, as its trig entry in SPACES names them (the sine and cosine
+of an axis value, or the cosine of a scaled difference of two axis values), one
+way: as a Python float, in an open-mesh grid and in a flat gather; this lets a
+box of another shape than the lattice, and the flat images, reproduce the
+scan's margins bit for bit.  (A difference of two Python floats arises only
+from two head axes, which a closing planar lattice at the default BLOCK_SIZE
+never has; a test pins that layout too.)  This check and the maps of G depend
+only on the lattice, so they run once per lattice in a process.  During the
+box, K must meet the cost rule of _orbit_limit.  After the images, none may
+differ from its kept point by more than delta / 8.  SearchResult.evaluations
+counts the whole lattice either way, and a lattice on which no symmetry closes
+takes the plain scan.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -78,9 +95,34 @@ REFINE_SHRINK = 0.5
 #: Most points one sweep tabulates, so a sweep's memory is bounded before it starts.
 MAX_SWEEP_STEPS = 1_000_000
 
-# delta of the rotation quotient: a bound on |computed margin(p) - computed
-# margin(p shifted)| on a closing lattice, which keeps the quotient exact
+# delta of the kept-orbit pass: a bound on |computed margin(p) - computed
+# margin(g p)| for a symmetry map g of a closing lattice, which keeps the pass exact
 _SHIFT_DELTA = 1e-12
+
+
+@dataclass(frozen=True)
+class _Symmetry:
+    """Index maps i -> (offset + sign * i) mod n, each applied to every axis in axes at once.
+
+    maps(n) gives the (offset, sign) of each map other than the identity, for
+    axes of n points; the axes have equal bounds, and a map keeps the
+    correlations when the lattice steps of those axes close their interval.
+    """
+
+    axes: tuple[int, ...]
+    maps: Callable[[int], tuple[tuple[int, int], ...]]
+
+
+@dataclass(frozen=True)
+class _TrigArguments:
+    """The arguments np.cos and np.sin take in a space's correlations.
+
+    values: the sine and cosine of each coordinate.  differences: the cosine
+    of scale * (x - y) for two coordinates x and y, one entry per scale.
+    """
+
+    values: bool = False
+    differences: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -90,17 +132,19 @@ class ParameterSpace:
     Wrapped coordinates are periodic with period hi - lo; their lattices and
     refinement probes wrap modulo that period, and clipped coordinates pin to
     the interval instead.  correlations maps coordinates (floats or arrays) to
-    the ten profile fields the kernels take.  shift_invariant marks a space of
-    equal wrapped axes whose correlations depend only on coordinate
-    differences, so adding one angle to every coordinate changes no
-    correlation.
+    the ten profile fields the kernels take.  symmetries lists groups of
+    lattice index maps that keep those fields, acting on disjoint axes, each
+    exact on a lattice that closes its axes (module docstring).  trig names
+    the arguments of every sine and cosine correlations takes, which the
+    kept-orbit pass checks before it runs.
     """
 
     family: str
     bounds: tuple[tuple[float, float], ...]
     wrap: tuple[bool, ...]
     correlations: Callable
-    shift_invariant: bool = False
+    symmetries: tuple[_Symmetry, ...] = ()
+    trig: _TrigArguments = _TrigArguments()
 
     @property
     def n_coords(self) -> int:
@@ -136,21 +180,31 @@ def _epr_dots_from_spherical(coords):
 _POLAR = (0.0, math.pi)
 _AZIMUTH = (0.0, 2.0 * math.pi)
 
+# every angle shifted by the same number of lattice steps
+_ROTATIONS = (_Symmetry((0, 1, 2, 3), lambda n: tuple((s, 1) for s in range(1, n))),)
+
 SPACES = {
     "planar_epr": ParameterSpace(
         "epr", (_AZIMUTH,) * 4, (True,) * 4,
         lambda x: inequalities.epr_correlation_terms(*_epr_dots_from_planar(x)),
-        shift_invariant=True,
+        _ROTATIONS,
+        _TrigArguments(differences=(1.0,)),  # cos(a - b)
     ),
     "ghz_angles": ParameterSpace(
         "ghz", (_POLAR,) * 4, (True,) * 4, lambda x: inequalities.ghz_correlation_terms(*x),
-        shift_invariant=True,
+        _ROTATIONS,
+        _TrigArguments(differences=(2.0,)),  # cos 2(alpha - gamma)
     ),
     "vectors3d": ParameterSpace(
         "epr",
         (_POLAR, _POLAR, _AZIMUTH, _POLAR, _AZIMUTH, _POLAR, _AZIMUTH),
         (False, False, True, False, True, False, True),
         lambda x: inequalities.epr_correlation_terms(*_epr_dots_from_spherical(x)),
+        (
+            _Symmetry((0, 1, 3, 5), lambda n: ((n - 1, -1),)),  # z -> -z: theta -> pi - theta
+            _Symmetry((2, 4, 6), lambda n: ((0, -1),)),  # y -> -y: phi -> -phi
+        ),
+        _TrigArguments(values=True),  # sin and cos of each polar and azimuth angle
     ),
 }
 
@@ -196,8 +250,8 @@ def _open_mesh_blocks(kernel, space, axes):
 
     A block's tail is the trailing axes whose product fits in BLOCK_SIZE plus
     one chunk of the axis before them; blocks run over the leading (head) axes,
-    then the chunk starts.  positions is the range of linear lattice indices
-    the flattened margins cover.
+    then the chunk starts.  positions is the range of linear indices, in the
+    lattice the axes span, that the flattened margins cover.
     """
     cut = len(axes) - 1
     inner = 1
@@ -216,55 +270,195 @@ def _open_mesh_blocks(kernel, space, axes):
         first += margin.size
 
 
-def _rotation_quotient(kernel, space, axes, blocks):
-    """blocks, with the lattice beyond the first-index-0 slab cut to the kept orbits.
+@functools.lru_cache(maxsize=64)
+def _orbit_maps(symmetries, sizes):
+    """The maps of the group the symmetries generate, identity excluded, and the box.
 
-    Passes the slab's blocks through, keeping the slab points within
-    2 _SHIFT_DELTA of the slab maximum so far.  Once more than n**2 are kept,
-    the remaining blocks follow unchanged.  Otherwise the kept orbits' points
-    not yet scanned follow as (positions, margins), one evaluation per shift
-    of the K <= n**2 kept points in lexicographic order, every coordinate a
-    flat array.
+    Row g of the (offsets, signs) arrays takes a lattice index i to
+    (offsets[g] + signs[g] * i) mod sizes.  The box gives each axis a count of
+    leading indices: on each symmetry's first axis, 1 + the largest least image
+    of an index, so the box holds an image of every lattice point.  Kept per
+    (symmetries, sizes), so the arrays are read-only.
     """
-    n = len(axes[0])
-    shape = (n,) * len(axes)
-    slab = n ** (len(axes) - 1)
-    floor = -math.inf
-    kept = np.empty(0, dtype=np.intp)
-    kept_margins = np.empty(0)
-    for positions, margin in blocks:
-        yield positions, margin
-        flat = margin.reshape(-1)[: slab - positions.start]
-        floor = max(floor, float(flat.max()) - 2.0 * _SHIFT_DELTA)
-        near = flat >= floor
-        still = kept_margins >= floor
-        if np.count_nonzero(near) + np.count_nonzero(still) > n * n:
-            del margin, flat, near  # a block's arrays, which the rest of the scan does not need
-            yield from blocks
-            return
-        fresh = np.flatnonzero(near)
-        kept = np.concatenate((kept[still], positions.start + fresh))
-        kept_margins = np.concatenate((kept_margins[still], flat[fresh]))
-        if positions.stop >= slab:
-            break
+    offsets = np.zeros((1, len(sizes)), dtype=np.intp)
+    signs = np.ones((1, len(sizes)), dtype=np.intp)
+    box = list(sizes)
+    for symmetry in symmetries:
+        n = sizes[symmetry.axes[0]]
+        own = np.array(((0, 1), *symmetry.maps(n)))[:, :, None]
+        moved = np.isin(np.arange(len(sizes)), symmetry.axes)
+        # every map so far followed by each of this symmetry's, which moves other axes
+        offsets = np.where(moved, own[None, :, 0], offsets[:, None]).reshape(-1, len(sizes))
+        signs = np.where(moved, own[None, :, 1], signs[:, None]).reshape(-1, len(sizes))
+        least = ((own[:, 0] + own[:, 1] * np.arange(n)) % n).min(axis=0)
+        box[symmetry.axes[0]] = 1 + int(least.max())
+    offsets, signs = offsets[1:], signs[1:]
+    offsets.setflags(write=False)
+    signs.setflags(write=False)
+    return offsets, signs, tuple(box)
 
-    representatives = np.stack(np.unravel_index(kept, shape), axis=-1)
-    for shift in range(positions.stop // slab, n):
-        points = np.sort(np.ravel_multi_index(tuple(((representatives + shift) % n).T), shape))
-        coords = tuple(axis[i] for axis, i in zip(axes, np.unravel_index(points, shape)))
-        lhs, rhs = kernel(*space.correlations(coords))
-        yield points, lhs - rhs
+
+def _orbit_limit(sizes, box, maps: int) -> int:
+    """Most points the pass may keep; beyond it the plain scan covers the rest.
+
+    A flat image takes its trig per point, so it costs up to N open-mesh
+    points, N the longest axis: the kept points' images may cost no more than
+    the points outside the box that they spare.  And K stays at most
+    BLOCK_SIZE / 4, or N**2 where that is more, so the kept indices and
+    margins take no more memory than half a block's margins; the images'
+    margins, maps * K floats, are at most the points outside the box over N
+    (1.4 blocks' margins on the planar 5 degree lattice).  On a closing
+    planar lattice the rule reads K <= N**2.
+    """
+    longest = max(sizes)
+    outside = math.prod(sizes) - math.prod(box)
+    return min(outside // (longest * maps), max(longest**2, BLOCK_SIZE // 4))
+
+
+@functools.lru_cache(maxsize=64)
+def _trig_layouts_agree(space: ParameterSpace, resolution: float, sizes) -> bool:
+    """Whether np.cos and np.sin round each argument space.trig names one way in every layout.
+
+    On the lattice axes of that resolution and sizes: a sine or cosine of an
+    axis value as a Python float, in its axis and in a flat gather in reverse
+    order; a cosine of a scaled difference of two axis values in an open-mesh
+    grid and in a flat gather in reverse order.  The answer depends on nothing
+    else but numpy, so it is kept per lattice: a repeated scan checks once.
+    """
+    axes = _lattice_axes(space, resolution, sizes)
+    distinct = list({axis.tobytes(): axis for axis in axes}.values())
+    checks = [(f, axis) for f in (np.cos, np.sin) for axis in distinct if space.trig.values]
+    for f, axis in checks:
+        scalars = np.array([f(value) for value in axis.tolist()])
+        if not np.array_equal(scalars.view(np.int64), f(axis).view(np.int64)):
+            return False
+    checks += [
+        (np.cos, scale * (x[:, None] - y))
+        for x, y in itertools.product(distinct, repeat=2)
+        for scale in space.trig.differences
+    ]
+    for f, grid in checks:
+        gathered = f(np.ascontiguousarray(grid.ravel()[::-1]))[::-1]
+        if not np.array_equal(f(grid).ravel().view(np.int64), gathered.view(np.int64)):
+            return False
+    return True
+
+
+def _block_top(positions, margin, shape, starts, sizes):
+    """(margin, -linear lattice index) of a block's first maximum.
+
+    The block covers positions of the sub-lattice of that shape whose first
+    point sits at lattice index starts.
+    """
+    index = int(np.argmax(margin))
+    local = np.unravel_index(positions.start + index, shape)
+    position = np.ravel_multi_index(tuple(np.add(local, starts)), sizes)
+    return float(margin.flat[index]), -int(position)
+
+
+def _fold(best, blocks, shape, starts, sizes):
+    """best, folded with each (positions, margin) block of a sub-lattice at starts of that shape."""
+    for positions, margin in blocks:
+        best = max(best, _block_top(positions, margin, shape, starts, sizes))
+    return best
+
+
+def _scan(kernel, space, axes, starts, stops, best):
+    """best, folded with every block of the sub-lattice axes[j][starts[j]:stops[j]]."""
+    sizes = tuple(len(axis) for axis in axes)
+    shape = tuple(stop - start for start, stop in zip(starts, stops))
+    sliced = [axis[start:stop] for axis, start, stop in zip(axes, starts, stops)]
+    return _fold(best, _open_mesh_blocks(kernel, space, sliced), shape, starts, sizes)
+
+
+def _scan_outside(kernel, space, axes, box, best):
+    """best, folded with the lattice outside the box: one sliced open mesh per axis the box cuts."""
+    sizes = tuple(len(axis) for axis in axes)
+    for axis, (count, size) in enumerate(zip(box, sizes)):
+        if count < size:
+            starts = (0,) * axis + (count,) + (0,) * (len(sizes) - axis - 1)
+            best = _scan(kernel, space, axes, starts, box[:axis] + sizes[axis:], best)
+    return best
+
+
+def _lattice_maximum(kernel, space, axes, orbits):
+    """(margin, -linear index) of the lattice point with the largest computed margin.
+
+    Of equal margins the smallest index wins.  With orbits, the (offsets,
+    signs, box) of _orbit_maps, the kept-orbit pass of the module docstring;
+    without, or when a premise fails, the plain scan, which the pass hands
+    whatever it has not yet covered.
+    """
+    sizes = tuple(len(axis) for axis in axes)
+    origin = (0,) * len(sizes)
+    best = (-math.inf, 0)
+    if orbits is None:
+        return _scan(kernel, space, axes, origin, sizes, best)
+    offsets, signs, box = orbits
+
+    limit = _orbit_limit(sizes, box, len(offsets))
+    blocks = _open_mesh_blocks(kernel, space, [axis[:count] for axis, count in zip(axes, box)])
+    floor = -math.inf
+    kept = []  # (box positions, margins) at or above the floor, one pair per block
+    for positions, margin in blocks:
+        top = _block_top(positions, margin, box, origin, sizes)
+        best = max(best, top)
+        if top[0] - 2.0 * _SHIFT_DELTA > floor:
+            floor = top[0] - 2.0 * _SHIFT_DELTA
+            kept = [(p[m >= floor], m[m >= floor]) for p, m in kept]
+        if not top[0] >= floor:
+            continue  # no point of the block is near the maximum
+        fresh = np.flatnonzero(margin >= floor)
+        if fresh.size + sum(m.size for _, m in kept) > limit:
+            del margin, fresh, kept  # arrays the rest of the scan does not need
+            best = _fold(best, blocks, box, origin, sizes)
+            return _scan_outside(kernel, space, axes, box, best)
+        kept.append((positions.start + fresh, margin.flat[fresh]))
+
+    # the box starts at index 0 on every axis, so a box index is a lattice index
+    kept, kept_margins = (np.concatenate(arrays) for arrays in zip(*kept))
+    representatives = np.stack(np.unravel_index(kept, box), axis=-1)
+    modulus = np.array(sizes)
+    images = np.empty((len(offsets), kept.size))  # row g: the margins of map g's images
+    for offset, sign, margin in zip(offsets, signs, images):
+        points = (offset + sign * representatives) % modulus
+        lhs, rhs = kernel(*space.correlations(tuple(axis[i] for axis, i in zip(axes, points.T))))
+        np.subtract(lhs, rhs, out=margin)
+    if not np.abs(images - kept_margins).max() <= _SHIFT_DELTA / 8.0:
+        return _scan_outside(kernel, space, axes, box, best)
+    top = float(images.max())
+    maps, ties = np.nonzero(images == top)
+    points = (offsets[maps] + signs[maps] * representatives[ties]) % modulus
+    return max(best, (top, -int(np.ravel_multi_index(tuple(points.T), sizes).min())))
+
+
+def _lattice_axes(space: ParameterSpace, resolution: float, sizes) -> list[np.ndarray]:
+    """The lattice axes of space at resolution, of the given point counts."""
+    return [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
+
+
+def _axis_count(lo: float, hi: float, wrapped: bool, resolution: float) -> tuple[int, bool]:
+    """Points of one lattice axis on [lo, hi], and whether its steps close the interval.
+
+    The steps are the whole resolutions that fit, up to roundoff; they close
+    the interval when they span it to within 4 ulp.  A wrapped axis drops the
+    upper endpoint, which duplicates lo modulo the period.
+    """
+    span = hi - lo
+    # clamped so a resolution too fine for any float count reaches the size check
+    steps = math.floor(min(span / resolution + 1e-9, MAX_LATTICE_POINTS))
+    closes = abs(steps * resolution - span) <= 4.0 * math.ulp(span)
+    return (steps if wrapped else steps + 1), closes
 
 
 def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) -> SearchResult:
     """Exhaustive lattice scan returning the maximum-margin point.
 
     Computed float64 margins compare exactly, and equal ones resolve to the
-    lexicographically first lattice index: the lattice is scanned in
-    lexicographic order and only strict improvements replace the incumbent,
-    so blocking cannot change the result.  On a shift-invariant space whose
-    lattice closes, the rotation quotient of the module docstring skips the
-    orbits that cannot hold the optimum and returns the identical result;
+    lexicographically first lattice index, so blocking cannot change the
+    result.  On a lattice that closes the axes of one of the space's
+    symmetries, the kept-orbit pass of the module docstring skips the orbits
+    that cannot hold the optimum and returns the identical result;
     evaluations always counts every lattice point.  The verdict is labelled
     at VIOLATION_TOL, as refine's is; a caller with another tolerance
     relabels it with make_verdict.
@@ -275,13 +469,12 @@ def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) ->
     # messages name the resolution in degrees, the unit the command line takes;
     # rounding to 12 digits drops the conversion's roundoff
     degrees = float(f"{math.degrees(resolution):.12g}")
-    sizes = []
+    sizes, closing = [], []
     for (lo, hi), wrapped in zip(space.bounds, space.wrap):
-        # clamped so a resolution too fine for any float count reaches the size check
-        steps = math.floor(min((hi - lo) / resolution + 1e-9, MAX_LATTICE_POINTS))
-        # wrapped axes drop the upper endpoint, which duplicates lo modulo the period
-        sizes.append(steps if wrapped else steps + 1)
-        if sizes[-1] < 2:
+        count, closes = _axis_count(lo, hi, wrapped, resolution)
+        sizes.append(count)
+        closing.append(closes)
+        if count < 2:
             raise ValueError(
                 f"resolution {degrees!r} degrees leaves fewer than 2 lattice steps on "
                 f"interval ({math.degrees(lo)!r}, {math.degrees(hi)!r}) degrees"
@@ -292,27 +485,17 @@ def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) ->
             f"resolution {degrees!r} degrees needs at least {total} lattice points, "
             f"more than the {MAX_LATTICE_POINTS} one scan may cover"
         )
-    axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
-    blocks = _open_mesh_blocks(kernel, space, axes)
-    span = space.bounds[0][1] - space.bounds[0][0]
-    if space.shift_invariant and abs(sizes[0] * resolution - span) <= 4.0 * math.ulp(span):
-        blocks = _rotation_quotient(kernel, space, axes, blocks)
-
-    best_margin = -math.inf
-    best_position = None
-    for positions, margin in blocks:
-        index = int(np.argmax(margin))
-        candidate = float(margin.flat[index])
-        if candidate > best_margin:
-            best_margin = candidate
-            best_position = positions[index]
-
-    assert best_position is not None
-    best_index = np.unravel_index(best_position, sizes)
+    sizes = tuple(sizes)
+    axes = _lattice_axes(space, resolution, sizes)
+    symmetries = tuple(sym for sym in space.symmetries if all(closing[axis] for axis in sym.axes))
+    orbits = None
+    if symmetries and _trig_layouts_agree(space, resolution, sizes):
+        orbits = _orbit_maps(symmetries, sizes)
+    _, position = _lattice_maximum(kernel, space, axes, orbits)
+    best_index = np.unravel_index(-position, sizes)
     best_coords = tuple(float(axis[i]) for axis, i in zip(axes, best_index))
     best_verdict = evaluate_point(inequality_id, space, best_coords)
     return SearchResult(best_coords, best_verdict, total)
-
 
 # ---------------------------------------------------------------------------
 # Compass refinement.

@@ -1,5 +1,6 @@
 """tools/bytecheck.py: digests of a few argv, and how differences meet declarations."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -8,7 +9,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import bytecheck  # noqa: E402
 
-from belllab import lhv  # noqa: E402
+from belllab import lhv, search  # noqa: E402
 
 ARGV = [
     ["--version"],
@@ -54,3 +55,16 @@ def test_the_edge_argv_reach_both_sides_of_the_stacked_draw_cut_off():
     points = {argv[argv.index("--points") + 1] for argv in bytecheck.EDGE_ARGV if "--points" in argv}
     cut = lhv.STACKED_DRAW_MAX_POINTS
     assert {str(cut), str(cut + 1)} <= points
+
+
+def test_the_edge_argv_reach_every_case_of_the_vectors3d_reflections():
+    # both reflections close, only y -> -y closes, neither closes
+    space = search.SPACES["vectors3d"]
+    cases = set()
+    for argv in bytecheck.EDGE_ARGV:
+        if "vectors3d" in argv and "--resolution" in argv:
+            resolution = math.radians(float(argv[argv.index("--resolution") + 1]))
+            closes = [search._axis_count(*space.bounds[axis], space.wrap[axis], resolution)[1]
+                      for axis in (0, 2)]  # a polar and an azimuth axis
+            cases.add(tuple(closes))
+    assert cases == {(True, True), (False, True), (False, False)}

@@ -20,6 +20,7 @@ from belllab.inequalities import (
 from belllab.search import (
     SPACE_KINDS,
     SPACES,
+    _axis_count,
     evaluate_point,
     grid_search,
     parameter_space,
@@ -166,10 +167,10 @@ def _dense_scan(kernel, space, resolution):
     Returns the best coordinates and the lattice size; the inequality id only
     labels the verdict, so one scan serves every id sharing a kernel.
     """
-    sizes = []
-    for (lo, hi), wrapped in zip(space.bounds, space.wrap):
-        steps = math.floor(min((hi - lo) / resolution + 1e-9, search.MAX_LATTICE_POINTS))
-        sizes.append(steps if wrapped else steps + 1)
+    sizes = [
+        _axis_count(lo, hi, wrapped, resolution)[0]
+        for (lo, hi), wrapped in zip(space.bounds, space.wrap)
+    ]
     axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
 
     split = len(axes) - 1
@@ -244,7 +245,7 @@ def test_rotating_a_closing_lattice_moves_a_margin_by_at_most_delta(data):
     space = SPACES[kind]
     resolution = math.radians(data.draw(st.sampled_from(CLOSING_DEGREES[kind])))
     lo, hi = space.bounds[0]
-    n = math.floor((hi - lo) / resolution + 1e-9)
+    n, _ = _axis_count(lo, hi, True, resolution)
     axis = lo + resolution * np.arange(n)
     index = np.array(data.draw(st.tuples(*[st.integers(0, n - 1)] * 4)))
     shift = data.draw(st.integers(1, n - 1))
@@ -344,8 +345,7 @@ def test_trig_gives_scalars_and_every_array_layout_the_same_bits(kind, degrees, 
     resolution = math.radians(degrees)
     axes = []
     for (lo, hi), wrapped in sorted(set(zip(space.bounds, space.wrap))):
-        steps = math.floor((hi - lo) / resolution + 1e-9)
-        axes.append(lo + resolution * np.arange(steps if wrapped else steps + 1))
+        axes.append(lo + resolution * np.arange(_axis_count(lo, hi, wrapped, resolution)[0]))
     for x, y in itertools.product(axes, repeat=2):
         grid_x, grid_y = np.ix_(x, y)
         grid = scale * (grid_x - grid_y)
@@ -360,6 +360,218 @@ def test_trig_gives_scalars_and_every_array_layout_the_same_bits(kind, degrees, 
                 assert np.array_equal(column.view(np.int64), expected)
             scalars = np.array([trig(value) for value in flat.tolist()])
             assert np.array_equal(scalars.view(np.int64), expected)
+
+
+@pytest.mark.parametrize(
+    "hi, wrapped, degrees, count, closes",
+    [
+        (2.0 * math.pi, True, 5, 72, True),
+        (2.0 * math.pi, True, 3, 120, True),  # 120 steps miss 2 pi by one ulp
+        (math.pi, False, 22.5, 9, True),
+        (2.0 * math.pi, True, 22.5, 16, True),
+        (math.pi, True, 2.5, 72, True),
+        (math.pi, False, 72, 3, False),
+        (2.0 * math.pi, True, 72, 5, True),
+        (math.pi, False, 28.5, 7, False),
+        (2.0 * math.pi, True, 28.5, 12, False),
+        (2.0 * math.pi, True, 7, 51, False),
+    ],
+)
+def test_axis_count_gives_the_whole_steps_and_whether_they_close(
+    hi, wrapped, degrees, count, closes
+):
+    # the reference scans above take their sizes from _axis_count, so it is
+    # pinned here on its own against counts worked out by hand
+    assert _axis_count(0.0, hi, wrapped, math.radians(degrees)) == (count, closes)
+
+
+@pytest.mark.parametrize(
+    "kind, degrees", [("planar_epr", 45), ("ghz_angles", 22.5), ("vectors3d", 90)]
+)
+def test_space_trig_names_every_sine_and_cosine_its_correlations_take(monkeypatch, kind, degrees):
+    # the layout guard checks only the arguments space.trig names
+    space = SPACES[kind]
+    axes = _lattice_axes(space, math.radians(degrees))
+    declared = set()
+    for x, y in itertools.product(axes, repeat=2):
+        if space.trig.values:
+            declared.update((name, value) for name in ("cos", "sin") for value in x.tolist())
+        for scale in space.trig.differences:
+            declared.update(("cos", value) for value in (scale * (x[:, None] - y)).ravel().tolist())
+    taken = set()
+    for name in ("cos", "sin"):
+
+        def recorded(x, name=name, trig=getattr(np, name)):
+            taken.update((name, value) for value in np.ravel(x).tolist())
+            return trig(x)
+
+        monkeypatch.setattr(np, name, recorded)
+    space.correlations(np.ix_(*axes))
+    assert taken == declared
+
+
+def _lattice_axes(space, resolution):
+    return [
+        lo + resolution * np.arange(_axis_count(lo, hi, wrapped, resolution)[0])
+        for (lo, hi), wrapped in zip(space.bounds, space.wrap)
+    ]
+
+
+@pytest.fixture
+def kernel_points(monkeypatch):
+    """The point count of every kernel call grid_search makes, in call order."""
+    evaluated = []
+
+    def counting_kernel(inequality_id, family=None):
+        kernel = inequality_kernel(inequality_id, family)
+
+        def counted(*terms):
+            evaluated.append(np.broadcast(*terms).size)
+            return kernel(*terms)
+
+        return counted
+
+    monkeypatch.setattr(search, "inequality_kernel", counting_kernel)
+    return evaluated
+
+
+# vectors3d lattices on which both reflections close: (P - 1) r spans 180 and N r 360 degrees
+REFLECTING_DEGREES = (22.5, 30, 36, 45)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reflecting_a_closing_vectors3d_lattice_moves_a_margin_by_at_most_delta(data):
+    # the premise that makes the reflection pass exact: z -> -z takes each polar
+    # index i to P - 1 - i and y -> -y each azimuth index k to (N - k) mod N
+    resolution = math.radians(data.draw(st.sampled_from(REFLECTING_DEGREES)))
+    intervals = zip(VECTORS.bounds, VECTORS.wrap)
+    assert all(_axis_count(lo, hi, wrapped, resolution)[1] for (lo, hi), wrapped in intervals)
+    axes = _lattice_axes(VECTORS, resolution)
+    index = np.array(data.draw(st.tuples(*(st.integers(0, len(axis) - 1) for axis in axes))))
+    polar, azimuth = [0, 1, 3, 5], [2, 4, 6]
+    z, y = index.copy(), index.copy()
+    z[polar] = len(axes[0]) - 1 - index[polar]
+    y[azimuth] = (len(axes[2]) - index[azimuth]) % len(axes[2])
+    zy = z.copy()
+    zy[azimuth] = y[azimuth]
+    def point(i):
+        return [axis[j] for axis, j in zip(axes, i)]
+
+    for inequality_id in ("general", "dispersion_free", "chsh"):
+        margin = evaluate_point(inequality_id, VECTORS, point(index)).margin
+        for image in (z, y, zy):
+            reflected = evaluate_point(inequality_id, VECTORS, point(image)).margin
+            assert abs(reflected - margin) <= search._SHIFT_DELTA
+
+
+@pytest.mark.parametrize("degrees, cut_block", [(45, 10000), (36, 30000)])
+def test_reflection_pass_matches_the_dense_scan_bit_for_bit(monkeypatch, degrees, cut_block):
+    resolution = math.radians(degrees)
+    axes = _lattice_axes(VECTORS, resolution)
+    *_, box = search._orbit_maps(VECTORS.symmetries, tuple(len(axis) for axis in axes))
+    assert box[0] < len(axes[0]) and box[2] < len(axes[2])
+
+    def first_block_axes(lattice_axes):
+        _, margin = next(search._open_mesh_blocks(inequality_kernel("chsh"), VECTORS, lattice_axes))
+        return margin.ndim
+
+    # at cut_block the box's blocks split another axis than the whole lattice's do
+    default_block = search.BLOCK_SIZE
+    monkeypatch.setattr(search, "BLOCK_SIZE", cut_block)
+    box_axes = [axis[:count] for axis, count in zip(axes, box)]
+    assert first_block_axes(box_axes) != first_block_axes(axes)
+    scans = {}
+    for inequality_id, (kernel, family) in INEQUALITIES.items():
+        if family not in (None, VECTORS.family):
+            continue
+        if kernel not in scans:
+            scans[kernel] = _dense_scan(kernel, VECTORS, resolution)
+        coords, total = scans[kernel]
+        expected = (coords, evaluate_point(inequality_id, VECTORS, coords), total)
+        for block_size in (4096, cut_block, default_block):
+            monkeypatch.setattr(search, "BLOCK_SIZE", block_size)
+            result = grid_search(inequality_id, VECTORS, resolution)
+            assert (
+                result.best_params, result.best_verdict, result.evaluations
+            ) == expected, (inequality_id, block_size)
+
+
+def test_reflection_pass_evaluates_the_box_and_the_kept_images(kernel_points):
+    # at 22.5 degrees the box theta_a <= 90, phi_b <= 180 degrees holds 5 of the
+    # 9 polar and 9 of the 16 azimuth values; then one call per map (z, y and
+    # zy) of the K points within 2 delta of the box maximum
+    total = 9**4 * 16**3
+    box = total // (9 * 16) * 5 * 9
+    resolution = math.radians(22.5)
+    for inequality_id, kept in (("dispersion_free", 4616), ("chsh", 128)):
+        kernel_points.clear()
+        assert grid_search(inequality_id, VECTORS, resolution).evaluations == total
+        ends = list(itertools.accumulate(kernel_points))
+        # the last call is the reported optimum's evaluate_point
+        assert kernel_points[ends.index(box) + 1 : -1] == [kept] * 3
+    # the general bound keeps more points than the cost rule allows, so the
+    # plain scan covers the rest of the box and then the rest of the lattice
+    kernel_points.clear()
+    grid_search("general", VECTORS, resolution)
+    assert sum(kernel_points) - 1 == total
+
+
+@pytest.fixture
+def fresh_guard():
+    """The layout guard with no verdict kept, before the test and after it."""
+    search._trig_layouts_agree.cache_clear()
+    yield search._trig_layouts_agree
+    search._trig_layouts_agree.cache_clear()
+
+
+def test_a_trig_layout_mismatch_hands_the_lattice_to_the_plain_scan(
+    monkeypatch, kernel_points, fresh_guard
+):
+    resolution = math.radians(45.0)
+    expected = grid_search("chsh", VECTORS, resolution)
+    sizes = tuple(len(axis) for axis in _lattice_axes(VECTORS, resolution))
+    assert fresh_guard(VECTORS, resolution, sizes)
+    cos = np.cos
+
+    def flat_cos(x):
+        # one ulp off for 1-d arrays, the flat gather's layout, and nothing else
+        value = cos(x)
+        return np.nextafter(value, 2.0) if np.ndim(x) == 1 else value
+
+    monkeypatch.setattr(np, "cos", flat_cos)
+    fresh_guard.cache_clear()
+    assert not fresh_guard(VECTORS, resolution, sizes)
+    kernel_points.clear()
+    assert grid_search("chsh", VECTORS, resolution) == expected
+    assert sum(kernel_points) - 1 == expected.evaluations
+
+
+def test_an_image_beyond_delta_over_8_hands_the_rest_to_the_plain_scan(monkeypatch):
+    resolution = math.radians(45.0)
+    expected = grid_search("chsh", VECTORS, resolution)
+    evaluated = []
+
+    def offset_kernel(inequality_id, family=None):
+        kernel = inequality_kernel(inequality_id, family)
+
+        def offset(*terms):
+            lhs, rhs = kernel(*terms)
+            evaluated.append(np.size(lhs))
+            if np.ndim(lhs) == 1:  # the flat images of the kept points
+                lhs = lhs.copy()
+                lhs[0] += search._SHIFT_DELTA / 4.0
+            return lhs, rhs
+
+        return offset
+
+    monkeypatch.setattr(search, "inequality_kernel", offset_kernel)
+    assert grid_search("chsh", VECTORS, resolution) == expected
+    # the box (3 * 5 of its 5 * 8 values of theta_a and phi_b), the images of
+    # the three maps, the lattice outside the box, and the optimum's evaluate_point
+    box = expected.evaluations // (5 * 8) * 3 * 5
+    assert evaluated[0] == box
+    assert sum(evaluated[4:-1]) == expected.evaluations - box
 
 
 def test_grid_lex_smallest_tie_break():

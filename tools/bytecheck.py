@@ -64,6 +64,15 @@ EDGE_ARGV = (
     # two-point models saturate the general bound, so roundoff decides their verdicts
     ("lhv-check", "--points", "2", "--bound", "1000", "--models", "2000"),
     (*_SEARCH, "vectors3d"),
+    # vectors3d scans by reflection orbit: z -> -z and y -> -y both close at 45
+    # and 36 degrees, only y -> -y at 72 and 24, neither at 28.5; the general
+    # bound at 30 keeps more points than the cost rule allows
+    (*_SEARCH, "vectors3d", "--resolution", "45"),
+    (*_SEARCH, "vectors3d", "--resolution", "36"),
+    (*_SEARCH, "vectors3d", "--resolution", "72"),
+    (*_SEARCH, "vectors3d", "--resolution", "24"),
+    (*_SEARCH, "vectors3d", "--resolution", "28.5"),
+    ("search", "--inequality", "general", "--space", "vectors3d", "--resolution", "30"),
     (*_SEARCH, "nowhere"),
     (*_SEARCH, "planar-epr", "--resolution", "45", "--tolerance", "1", "--refine"),
     (*_SEARCH, "planar-epr", "--resolution", "45", "--tolerance", "nan"),
@@ -186,25 +195,31 @@ def declared_globs() -> list[str]:
     return [line for line in lines if line.strip() and not line.startswith("#")]
 
 
+@contextlib.contextmanager
+def worktree(rev: str, path: Path):
+    """rev checked out with ``git worktree`` at path, a directory that must not exist yet,
+    for the duration of the block; removed afterwards."""
+    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                    str(path), rev], check=True)
+    try:
+        yield path
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(path)],
+                       check=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="bytecheck-") as temp:
-        temp = Path(temp)
-        base_tree = temp / "base"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(base_tree), args.base], check=True)
-        try:
-            scenarios = temp / "scenarios"
-            scenarios.mkdir()
-            argvs = corpus(scenarios)
-            start = time.perf_counter()
-            runs = digests({"base": base_tree, "head": ROOT}, argvs, scenarios)
-            seconds = time.perf_counter() - start
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(base_tree)], check=True)
+    with tempfile.TemporaryDirectory(prefix="bytecheck-") as temp, \
+            worktree(args.base, Path(temp) / "base") as base_tree:
+        scenarios = Path(temp) / "scenarios"
+        scenarios.mkdir()
+        argvs = corpus(scenarios)
+        start = time.perf_counter()
+        runs = digests({"base": base_tree, "head": ROOT}, argvs, scenarios)
+        seconds = time.perf_counter() - start
     lines, problems = compare(runs["base"], runs["head"], declared_globs())
     print(f"bytecheck: {len(argvs)} argv, {args.base} against this tree in {seconds:.1f} s, "
           f"{len(lines)} declared difference(s), {len(problems)} problem(s)")
