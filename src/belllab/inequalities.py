@@ -22,6 +22,7 @@ maps each id to its kernel and to the state family the id requires.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
@@ -177,16 +178,18 @@ def epr_correlation_terms(ab, ac, ad, bc, bd, cd):
     return -ac, -ad, -bc, -bd, ab, cd, 1.0, 1.0, 1.0, 1.0
 
 
+def _ghz_pair(x, y):
+    """cos 2(x - y): what the four-spin rule puts in place of the dot product of two settings."""
+    return np.cos(2.0 * (x - y))
+
+
 def ghz_correlation_terms(alpha, beta, gamma, delta):
-    """Four-spin profile fields from planar angles (radians); the variances are 1,
-    as every pair-product observable squares to one."""
-    e_ac = -np.cos(2.0 * (alpha - gamma))
-    e_ad = -np.cos(2.0 * (alpha - delta))
-    e_bc = -np.cos(2.0 * (beta - gamma))
-    e_bd = -np.cos(2.0 * (beta - delta))
-    e_ab = np.cos(2.0 * (alpha - beta))
-    e_cd = np.cos(2.0 * (gamma - delta))
-    return e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, 1.0, 1.0, 1.0, 1.0
+    """Four-spin profile fields from planar angles (radians): the singlet rule over
+    cos 2(x - y) for each two angles, so E(A,C) = -cos 2(alpha - gamma) and
+    E(A,B) = +cos 2(alpha - beta); the variances are 1, as every pair-product
+    observable squares to one."""
+    angles = (alpha, beta, gamma, delta)
+    return epr_correlation_terms(*(_ghz_pair(x, y) for x, y in itertools.combinations(angles, 2)))
 
 
 # ---------------------------------------------------------------------------

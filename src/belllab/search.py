@@ -1,25 +1,36 @@
 """Derivative-free maximization of inequality margins over measurement parameters.
 
 One table, SPACES, is the only place a search space is described: bounds,
-wrap flags, the state family it models, its coordinates -> correlations map,
-the lattice symmetries of that map and the arguments of its sines and cosines.
+wrap flags, the state family it models, how its coordinates make the four
+measurement settings a, b, c, d, the pair function of two settings, and the
+lattice symmetries.  Every correlation depends on one pair of settings, so a
+space's correlations are the singlet rule inequalities.epr_correlation_terms
+over its six pair values: E(A,C) = -pair(a, c), E(A,B) = +pair(a, b), ...
 
-* planar_epr: four planar angles, one per singlet measurement axis.
-* ghz_angles: four planar angles for the pair-product observables; the
-  closed forms have period pi in each angle, so the bounds stop there.
+* planar_epr: four planar angles, one per singlet measurement axis; the pair
+  function is cos(x - y), the dot product of two planar unit vectors.
+* ghz_angles: four planar angles for the pair-product observables, pair
+  function cos 2(x - y); the closed forms have period pi in each angle, so the
+  bounds stop there.
 * vectors3d: four unit vectors as spherical coordinates with the first
   vector's azimuth fixed to 0, which quotients out the free global rotation
   about z instead of wasting lattice points on it.  Coordinate order is
-  (theta_a, theta_b, phi_b, theta_c, phi_c, theta_d, phi_d).
+  (theta_a, theta_b, phi_b, theta_c, phi_c, theta_d, phi_d), and the pair
+  function is the dot product of two (theta, phi) unit vectors.
 
 Grid search sizes the lattice from integer axis counts before it builds any
-array, then scans it in blocks of at most BLOCK_SIZE points.  A block is an open
-mesh: the trailing axes whose product fits, plus one chunk of the axis before
-them, each passed as a 1-d axis shaped by np.ix_ to the kernels evaluate_point
-uses.  Every elementwise operation sees the operands it would on a dense
-meshgrid, so a reported optimum re-evaluates to identical numbers, and a term
-depending on two tail axes costs one evaluation per pair of axis values, not
-one per point.  Ties compare the computed float64 margins exactly and go to the
+array.  It then calls the pair function once, on an open mesh of the lattice's
+setting values: a pair table of N x N entries on the planar spaces and of
+(P, N, P, N) on vectors3d, for P polar and N azimuth values.  The scan reads a
+lattice point as integer indices into its axes and gathers its six pair values
+from the table.  An entry holds the bits the pair function gives at those two
+settings, since np.cos and np.sin round a value one way whatever the array
+layout (a numpy fact the tests pin), so a reported optimum re-evaluates to
+identical numbers.  The scan runs in blocks of at most BLOCK_SIZE points.  A
+block is an open mesh: the trailing axes whose product fits, plus one chunk of
+the axis before them, each passed as a 1-d index axis shaped by np.ix_, so a
+pair value of two tail axes costs one gather per pair of indices, not one per
+point.  Ties compare the computed float64 margins exactly and go to the
 lexicographically first (smallest linear) lattice index: each block's
 np.argmax is its first maximum, and blocks fold in any order.
 
@@ -40,29 +51,21 @@ tests, is that a point's and its image's computed margins differ by at most
 delta = 1e-12 (measured worst case about 2e-14).  The pass scans the box in
 blocks as usual, keeps every box point within 2 delta of the box maximum M,
 and evaluates every non-identity image of the K kept points, one kernel call
-per map of G, each coordinate a flat array gathered from its axis.  This is
-exact, for every symmetry.  The point p* the full scan reports has margin at
-least M and an image q in the box with margin at least M - delta, so q is
-kept and every image of q, p* among them, is evaluated.  A point whose box
-image was not kept has margin below M - delta, so it neither beats nor ties
-p*.  The largest margin, and of equal ones the smallest linear index, is
-therefore the full scan's answer, whatever order the points come in.
+per map of G, each coordinate a flat index array gathered from the same pair
+table as the blocks.  This is exact, for every symmetry.  The point p* the
+full scan reports has margin at least M and an image q in the box with margin
+at least M - delta, so q is kept and every image of q, p* among them, is
+evaluated.  A point whose box image was not kept has margin below M - delta,
+so it neither beats nor ties p*.  The largest margin, and of equal ones the
+smallest linear index, is therefore the full scan's answer, whatever order
+the points come in.
 
-Three premises are checked as the pass runs; a failure hands whatever the pass
-has not covered to the plain scan, so the result is the full scan's either way.
-Before the box, np.cos and np.sin must round every argument the space's
-correlations take, as its trig entry in SPACES names them (the sine and cosine
-of an axis value, or the cosine of a scaled difference of two axis values), one
-way: as a Python float, in an open-mesh grid and in a flat gather; this lets a
-box of another shape than the lattice, and the flat images, reproduce the
-scan's margins bit for bit.  (A difference of two Python floats arises only
-from two head axes, which a closing planar lattice at the default BLOCK_SIZE
-never has; a test pins that layout too.)  This check and the maps of G depend
-only on the lattice, so they run once per lattice in a process.  During the
-box, K must meet the cost rule of _orbit_limit.  After the images, none may
-differ from its kept point by more than delta / 8.  SearchResult.evaluations
-counts the whole lattice either way, and a lattice on which no symmetry closes
-takes the plain scan.
+Two premises are checked as the pass runs; a failure hands whatever the pass
+has not covered to the plain scan, so the result is the full scan's either
+way.  During the box, K must meet the cost rule of _orbit_limit.  After the
+images, none may differ from its kept point by more than delta / 8.
+SearchResult.evaluations counts the whole lattice either way, and a lattice on
+which no symmetry closes takes the plain scan.
 """
 
 from __future__ import annotations
@@ -114,67 +117,64 @@ class _Symmetry:
 
 
 @dataclass(frozen=True)
-class _TrigArguments:
-    """The arguments np.cos and np.sin take in a space's correlations.
-
-    values: the sine and cosine of each coordinate.  differences: the cosine
-    of scale * (x - y) for two coordinates x and y, one entry per scale.
-    """
-
-    values: bool = False
-    differences: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
 class ParameterSpace:
     """Search domain: per-coordinate closed intervals (radians) plus wrap flags.
 
     Wrapped coordinates are periodic with period hi - lo; their lattices and
     refinement probes wrap modulo that period, and clipped coordinates pin to
-    the interval instead.  correlations maps coordinates (floats or arrays) to
-    the ten profile fields the kernels take.  symmetries lists groups of
-    lattice index maps that keep those fields, acting on disjoint axes, each
-    exact on a lattice that closes its axes (module docstring).  trig names
-    the arguments of every sine and cosine correlations takes, which the
-    kept-orbit pass checks before it runs.
+    the interval instead.  settings(coords, origin) splits coordinates, angles
+    or lattice indices, into the four settings a, b, c, d, each a tuple of
+    coordinates; origin is a coordinate held at the first value of its axis,
+    0.0 as an angle and 0 as an index.  pair(*s, *t) is the pair function of
+    settings s and t.  symmetries lists groups of lattice index maps that keep
+    the correlations, acting on disjoint axes, each exact on a lattice that
+    closes its axes (module docstring).
     """
 
     family: str
     bounds: tuple[tuple[float, float], ...]
     wrap: tuple[bool, ...]
-    correlations: Callable
+    settings: Callable
+    pair: Callable
     symmetries: tuple[_Symmetry, ...] = ()
-    trig: _TrigArguments = _TrigArguments()
 
     @property
     def n_coords(self) -> int:
         return len(self.bounds)
 
+    def correlations(self, coords):
+        """The ten profile fields the kernels take, at coordinates given as floats or arrays."""
+        return _correlations(self.pair, self.settings(coords, 0.0))
 
-def _epr_dots_from_planar(coords):
-    # pairs in the order ab, ac, ad, bc, bd, cd
-    return tuple(np.cos(x - y) for x, y in itertools.combinations(coords, 2))
+
+def _correlations(pair, settings):
+    """The singlet rule over pair of each two of the four settings: ab, ac, ad, bc, bd, cd."""
+    pairs = (pair(*s, *t) for s, t in itertools.combinations(settings, 2))
+    return inequalities.epr_correlation_terms(*pairs)
 
 
-def _epr_dots_from_spherical(coords):
+def _planar_settings(coords, origin):
+    return tuple((x,) for x in coords)
+
+
+def _spherical_settings(coords, origin):
     theta_a, theta_b, phi_b, theta_c, phi_c, theta_d, phi_d = coords
-    ax, az = np.sin(theta_a), np.cos(theta_a)
+    # vector a lies in the x-z plane, at the first azimuth of the lattice
+    return (theta_a, origin), (theta_b, phi_b), (theta_c, phi_c), (theta_d, phi_d)
 
+
+def _planar_dot(x, y):
+    return np.cos(x - y)
+
+
+def _spherical_dot(theta_1, phi_1, theta_2, phi_2):
     def components(theta, phi):
         s = np.sin(theta)
         return s * np.cos(phi), s * np.sin(phi), np.cos(theta)
 
-    bx, by, bz = components(theta_b, phi_b)
-    cx, cy, cz = components(theta_c, phi_c)
-    dx, dy, dz = components(theta_d, phi_d)
-    # vector a lies in the x-z plane, so its y component is identically zero
-    ab = ax * bx + az * bz
-    ac = ax * cx + az * cz
-    ad = ax * dx + az * dz
-    bc = bx * cx + by * cy + bz * cz
-    bd = bx * dx + by * dy + bz * dz
-    cd = cx * dx + cy * dy + cz * dz
-    return ab, ac, ad, bc, bd, cd
+    x_1, y_1, z_1 = components(theta_1, phi_1)
+    x_2, y_2, z_2 = components(theta_2, phi_2)
+    return x_1 * x_2 + y_1 * y_2 + z_1 * z_2
 
 
 _POLAR = (0.0, math.pi)
@@ -185,26 +185,21 @@ _ROTATIONS = (_Symmetry((0, 1, 2, 3), lambda n: tuple((s, 1) for s in range(1, n
 
 SPACES = {
     "planar_epr": ParameterSpace(
-        "epr", (_AZIMUTH,) * 4, (True,) * 4,
-        lambda x: inequalities.epr_correlation_terms(*_epr_dots_from_planar(x)),
-        _ROTATIONS,
-        _TrigArguments(differences=(1.0,)),  # cos(a - b)
+        "epr", (_AZIMUTH,) * 4, (True,) * 4, _planar_settings, _planar_dot, _ROTATIONS
     ),
     "ghz_angles": ParameterSpace(
-        "ghz", (_POLAR,) * 4, (True,) * 4, lambda x: inequalities.ghz_correlation_terms(*x),
-        _ROTATIONS,
-        _TrigArguments(differences=(2.0,)),  # cos 2(alpha - gamma)
+        "ghz", (_POLAR,) * 4, (True,) * 4, _planar_settings, inequalities._ghz_pair, _ROTATIONS
     ),
     "vectors3d": ParameterSpace(
         "epr",
         (_POLAR, _POLAR, _AZIMUTH, _POLAR, _AZIMUTH, _POLAR, _AZIMUTH),
         (False, False, True, False, True, False, True),
-        lambda x: inequalities.epr_correlation_terms(*_epr_dots_from_spherical(x)),
+        _spherical_settings,
+        _spherical_dot,
         (
             _Symmetry((0, 1, 3, 5), lambda n: ((n - 1, -1),)),  # z -> -z: theta -> pi - theta
             _Symmetry((2, 4, 6), lambda n: ((0, -1),)),  # y -> -y: phi -> -phi
         ),
-        _TrigArguments(values=True),  # sin and cos of each polar and azimuth angle
     ),
 }
 
@@ -248,7 +243,9 @@ def evaluate_point(inequality_id: str, space: ParameterSpace, coords) -> Inequal
 def _open_mesh_blocks(kernel, space, axes):
     """(positions, margins) of each open-mesh block, in lexicographic order.
 
-    A block's tail is the trailing axes whose product fits in BLOCK_SIZE plus
+    space is anything with the correlations of a ParameterSpace, taking the
+    values of axes: a space on angle axes, or a _PairTable on index axes.  A
+    block's tail is the trailing axes whose product fits in BLOCK_SIZE plus
     one chunk of the axis before them; blocks run over the leading (head) axes,
     then the chunk starts.  positions is the range of linear indices, in the
     lattice the axes span, that the flattened margins cover.
@@ -260,14 +257,31 @@ def _open_mesh_blocks(kernel, space, axes):
         cut -= 1
     chunk = BLOCK_SIZE // inner
     first = 0
-    for *prefix, start in itertools.product(*axes[:cut], range(0, len(axes[cut]), chunk)):
-        head = tuple(float(v) for v in prefix)
+    for *head, start in itertools.product(*axes[:cut], range(0, len(axes[cut]), chunk)):
         tail_axes = [axes[cut][start : start + chunk], *axes[cut + 1 :]]
         tail_shape = tuple(len(axis) for axis in tail_axes)
-        lhs, rhs = kernel(*space.correlations(head + np.ix_(*tail_axes)))
+        lhs, rhs = kernel(*space.correlations((*head, *np.ix_(*tail_axes))))
         margin = np.broadcast_to(lhs - rhs, tail_shape)
         yield range(first, first + margin.size), margin
         first += margin.size
+
+
+class _PairTable:
+    """A space's pair function at every two settings of a lattice, read at lattice indices.
+
+    values[s + t] is space.pair(*s, *t) for settings s and t given as indices
+    into the axes, from one call of the pair function on their open mesh.
+    Every setting ranges over the axes of the last one, d.
+    """
+
+    def __init__(self, space: ParameterSpace, axes):
+        self.settings = space.settings
+        *_, last = space.settings(axes, None)
+        self.values = space.pair(*np.ix_(*last, *last))
+
+    def correlations(self, indices):
+        """ParameterSpace.correlations at lattice indices, each pair value gathered from the table."""
+        return _correlations(lambda *pair: self.values[pair], self.settings(indices, 0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -301,9 +315,11 @@ def _orbit_maps(symmetries, sizes):
 def _orbit_limit(sizes, box, maps: int) -> int:
     """Most points the pass may keep; beyond it the plain scan covers the rest.
 
-    A flat image takes its trig per point, so it costs up to N open-mesh
-    points, N the longest axis: the kept points' images may cost no more than
-    the points outside the box that they spare.  And K stays at most
+    The rule was measured when a flat image took its sines and cosines per
+    point, at up to N open-mesh points each, N the longest axis: the kept
+    points' images may cost no more than the points outside the box that they
+    spare.  An image now gathers from the pair table, and the rule is kept as
+    measured until that cost is measured again.  And K stays at most
     BLOCK_SIZE / 4, or N**2 where that is more, so the kept indices and
     margins take no more memory than half a block's margins; the images'
     margins, maps * K floats, are at most the points outside the box over N
@@ -313,35 +329,6 @@ def _orbit_limit(sizes, box, maps: int) -> int:
     longest = max(sizes)
     outside = math.prod(sizes) - math.prod(box)
     return min(outside // (longest * maps), max(longest**2, BLOCK_SIZE // 4))
-
-
-@functools.lru_cache(maxsize=64)
-def _trig_layouts_agree(space: ParameterSpace, resolution: float, sizes) -> bool:
-    """Whether np.cos and np.sin round each argument space.trig names one way in every layout.
-
-    On the lattice axes of that resolution and sizes: a sine or cosine of an
-    axis value as a Python float, in its axis and in a flat gather in reverse
-    order; a cosine of a scaled difference of two axis values in an open-mesh
-    grid and in a flat gather in reverse order.  The answer depends on nothing
-    else but numpy, so it is kept per lattice: a repeated scan checks once.
-    """
-    axes = _lattice_axes(space, resolution, sizes)
-    distinct = list({axis.tobytes(): axis for axis in axes}.values())
-    checks = [(f, axis) for f in (np.cos, np.sin) for axis in distinct if space.trig.values]
-    for f, axis in checks:
-        scalars = np.array([f(value) for value in axis.tolist()])
-        if not np.array_equal(scalars.view(np.int64), f(axis).view(np.int64)):
-            return False
-    checks += [
-        (np.cos, scale * (x[:, None] - y))
-        for x, y in itertools.product(distinct, repeat=2)
-        for scale in space.trig.differences
-    ]
-    for f, grid in checks:
-        gathered = f(np.ascontiguousarray(grid.ravel()[::-1]))[::-1]
-        if not np.array_equal(f(grid).ravel().view(np.int64), gathered.view(np.int64)):
-            return False
-    return True
 
 
 def _block_top(positions, margin, shape, starts, sizes):
@@ -363,25 +350,23 @@ def _fold(best, blocks, shape, starts, sizes):
     return best
 
 
-def _scan(kernel, space, axes, starts, stops, best):
-    """best, folded with every block of the sub-lattice axes[j][starts[j]:stops[j]]."""
-    sizes = tuple(len(axis) for axis in axes)
+def _scan(kernel, table, sizes, starts, stops, best):
+    """best, folded with every block of the sub-lattice of indices starts[j] <= i < stops[j]."""
     shape = tuple(stop - start for start, stop in zip(starts, stops))
-    sliced = [axis[start:stop] for axis, start, stop in zip(axes, starts, stops)]
-    return _fold(best, _open_mesh_blocks(kernel, space, sliced), shape, starts, sizes)
+    axes = [np.arange(start, stop) for start, stop in zip(starts, stops)]
+    return _fold(best, _open_mesh_blocks(kernel, table, axes), shape, starts, sizes)
 
 
-def _scan_outside(kernel, space, axes, box, best):
+def _scan_outside(kernel, table, sizes, box, best):
     """best, folded with the lattice outside the box: one sliced open mesh per axis the box cuts."""
-    sizes = tuple(len(axis) for axis in axes)
     for axis, (count, size) in enumerate(zip(box, sizes)):
         if count < size:
             starts = (0,) * axis + (count,) + (0,) * (len(sizes) - axis - 1)
-            best = _scan(kernel, space, axes, starts, box[:axis] + sizes[axis:], best)
+            best = _scan(kernel, table, sizes, starts, box[:axis] + sizes[axis:], best)
     return best
 
 
-def _lattice_maximum(kernel, space, axes, orbits):
+def _lattice_maximum(kernel, table, sizes, orbits):
     """(margin, -linear index) of the lattice point with the largest computed margin.
 
     Of equal margins the smallest index wins.  With orbits, the (offsets,
@@ -389,15 +374,14 @@ def _lattice_maximum(kernel, space, axes, orbits):
     without, or when a premise fails, the plain scan, which the pass hands
     whatever it has not yet covered.
     """
-    sizes = tuple(len(axis) for axis in axes)
     origin = (0,) * len(sizes)
     best = (-math.inf, 0)
     if orbits is None:
-        return _scan(kernel, space, axes, origin, sizes, best)
+        return _scan(kernel, table, sizes, origin, sizes, best)
     offsets, signs, box = orbits
 
     limit = _orbit_limit(sizes, box, len(offsets))
-    blocks = _open_mesh_blocks(kernel, space, [axis[:count] for axis, count in zip(axes, box)])
+    blocks = _open_mesh_blocks(kernel, table, [np.arange(count) for count in box])
     floor = -math.inf
     kept = []  # (box positions, margins) at or above the floor, one pair per block
     for positions, margin in blocks:
@@ -412,7 +396,7 @@ def _lattice_maximum(kernel, space, axes, orbits):
         if fresh.size + sum(m.size for _, m in kept) > limit:
             del margin, fresh, kept  # arrays the rest of the scan does not need
             best = _fold(best, blocks, box, origin, sizes)
-            return _scan_outside(kernel, space, axes, box, best)
+            return _scan_outside(kernel, table, sizes, box, best)
         kept.append((positions.start + fresh, margin.flat[fresh]))
 
     # the box starts at index 0 on every axis, so a box index is a lattice index
@@ -422,19 +406,14 @@ def _lattice_maximum(kernel, space, axes, orbits):
     images = np.empty((len(offsets), kept.size))  # row g: the margins of map g's images
     for offset, sign, margin in zip(offsets, signs, images):
         points = (offset + sign * representatives) % modulus
-        lhs, rhs = kernel(*space.correlations(tuple(axis[i] for axis, i in zip(axes, points.T))))
+        lhs, rhs = kernel(*table.correlations(tuple(points.T)))
         np.subtract(lhs, rhs, out=margin)
     if not np.abs(images - kept_margins).max() <= _SHIFT_DELTA / 8.0:
-        return _scan_outside(kernel, space, axes, box, best)
+        return _scan_outside(kernel, table, sizes, box, best)
     top = float(images.max())
     maps, ties = np.nonzero(images == top)
     points = (offsets[maps] + signs[maps] * representatives[ties]) % modulus
     return max(best, (top, -int(np.ravel_multi_index(tuple(points.T), sizes).min())))
-
-
-def _lattice_axes(space: ParameterSpace, resolution: float, sizes) -> list[np.ndarray]:
-    """The lattice axes of space at resolution, of the given point counts."""
-    return [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
 
 
 def _axis_count(lo: float, hi: float, wrapped: bool, resolution: float) -> tuple[int, bool]:
@@ -454,7 +433,8 @@ def _axis_count(lo: float, hi: float, wrapped: bool, resolution: float) -> tuple
 def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) -> SearchResult:
     """Exhaustive lattice scan returning the maximum-margin point.
 
-    Computed float64 margins compare exactly, and equal ones resolve to the
+    Every correlation of the scan is read from the lattice's pair table
+    (module docstring).  Computed float64 margins compare exactly, and equal ones resolve to the
     lexicographically first lattice index, so blocking cannot change the
     result.  On a lattice that closes the axes of one of the space's
     symmetries, the kept-orbit pass of the module docstring skips the orbits
@@ -486,12 +466,10 @@ def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) ->
             f"more than the {MAX_LATTICE_POINTS} one scan may cover"
         )
     sizes = tuple(sizes)
-    axes = _lattice_axes(space, resolution, sizes)
+    axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
     symmetries = tuple(sym for sym in space.symmetries if all(closing[axis] for axis in sym.axes))
-    orbits = None
-    if symmetries and _trig_layouts_agree(space, resolution, sizes):
-        orbits = _orbit_maps(symmetries, sizes)
-    _, position = _lattice_maximum(kernel, space, axes, orbits)
+    orbits = _orbit_maps(symmetries, sizes) if symmetries else None
+    _, position = _lattice_maximum(kernel, _PairTable(space, axes), sizes, orbits)
     best_index = np.unravel_index(-position, sizes)
     best_coords = tuple(float(axis[i]) for axis, i in zip(axes, best_index))
     best_verdict = evaluate_point(inequality_id, space, best_coords)

@@ -328,19 +328,14 @@ def test_rotation_quotient_evaluates_only_the_kept_orbits(monkeypatch):
     assert calls_after_the_slab(12) == [24] * 11
 
 
-def test_a_closing_lattice_leaves_at_most_one_head_axis():
-    # the largest closing lattice has n**4 <= MAX_LATTICE_POINTS; its last two
-    # axes fit in one block, so no correlation pairs two head (scalar) axes
-    assert math.isqrt(math.isqrt(search.MAX_LATTICE_POINTS)) ** 2 <= search.BLOCK_SIZE
-
-
 @pytest.mark.parametrize(
     "kind, degrees, scale", [("planar_epr", 5, 1.0), ("ghz_angles", 2.5, 2.0), ("vectors3d", 22.5, 1.0)]
 )
 def test_trig_gives_scalars_and_every_array_layout_the_same_bits(kind, degrees, scale):
-    # the rotation quotient re-evaluates kept points as flat arrays, and small
-    # blocks pass head angles as Python floats: both return the scan's bits
-    # only if np.cos and np.sin round one argument one way, whatever its layout
+    # the pair table takes its sines and cosines on an open mesh, the dense
+    # reference on meshgrid blocks and evaluate_point on Python floats: a
+    # reported optimum re-evaluates to the scan's bits only if np.cos and np.sin
+    # round one argument one way, whatever its layout
     space = SPACES[kind]
     resolution = math.radians(degrees)
     axes = []
@@ -385,29 +380,36 @@ def test_axis_count_gives_the_whole_steps_and_whether_they_close(
     assert _axis_count(0.0, hi, wrapped, math.radians(degrees)) == (count, closes)
 
 
+# the six correlations in field order, e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, as pairs of settings
+FIELD_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3), (0, 1), (2, 3))
+
+
 @pytest.mark.parametrize(
-    "kind, degrees", [("planar_epr", 45), ("ghz_angles", 22.5), ("vectors3d", 90)]
+    "kind, degrees",
+    [
+        ("planar_epr", 5), ("planar_epr", 7),
+        ("ghz_angles", 2.5), ("ghz_angles", 7),
+        ("vectors3d", 22.5), ("vectors3d", 29),
+    ],
 )
-def test_space_trig_names_every_sine_and_cosine_its_correlations_take(monkeypatch, kind, degrees):
-    # the layout guard checks only the arguments space.trig names
+def test_the_pair_table_holds_the_bits_the_correlations_compute(kind, degrees):
+    # each correlation depends on two settings only, so the lattice that varies
+    # their coordinates and holds the others at index 0 reaches every value it takes
     space = SPACES[kind]
     axes = _lattice_axes(space, math.radians(degrees))
-    declared = set()
-    for x, y in itertools.product(axes, repeat=2):
-        if space.trig.values:
-            declared.update((name, value) for name in ("cos", "sin") for value in x.tolist())
-        for scale in space.trig.differences:
-            declared.update(("cos", value) for value in (scale * (x[:, None] - y)).ravel().tolist())
-    taken = set()
-    for name in ("cos", "sin"):
-
-        def recorded(x, name=name, trig=getattr(np, name)):
-            taken.update((name, value) for value in np.ravel(x).tolist())
-            return trig(x)
-
-        monkeypatch.setattr(np, name, recorded)
-    space.correlations(np.ix_(*axes))
-    assert taken == declared
+    table = search._PairTable(space, axes)
+    owners = space.settings(tuple(range(space.n_coords)), None)
+    for field, pair in enumerate(FIELD_PAIRS):
+        varied = {j for setting in pair for j in owners[setting] if j is not None}
+        indices = [np.arange(len(axis) if j in varied else 1) for j, axis in enumerate(axes)]
+        dense = np.meshgrid(*indices, indexing="ij")
+        expected = space.correlations(tuple(axis[i] for axis, i in zip(axes, dense)))[field]
+        expected = expected.view(np.int64)
+        open_mesh = np.broadcast_to(table.correlations(np.ix_(*indices))[field], expected.shape)
+        assert np.array_equal(open_mesh.view(np.int64), expected), (field, "open mesh")
+        reversed_flat = tuple(np.ascontiguousarray(i.ravel()[::-1]) for i in dense)
+        gathered = table.correlations(reversed_flat)[field][::-1]
+        assert np.array_equal(gathered.view(np.int64), expected.ravel()), (field, "flat gather")
 
 
 def _lattice_axes(space, resolution):
@@ -515,36 +517,6 @@ def test_reflection_pass_evaluates_the_box_and_the_kept_images(kernel_points):
     kernel_points.clear()
     grid_search("general", VECTORS, resolution)
     assert sum(kernel_points) - 1 == total
-
-
-@pytest.fixture
-def fresh_guard():
-    """The layout guard with no verdict kept, before the test and after it."""
-    search._trig_layouts_agree.cache_clear()
-    yield search._trig_layouts_agree
-    search._trig_layouts_agree.cache_clear()
-
-
-def test_a_trig_layout_mismatch_hands_the_lattice_to_the_plain_scan(
-    monkeypatch, kernel_points, fresh_guard
-):
-    resolution = math.radians(45.0)
-    expected = grid_search("chsh", VECTORS, resolution)
-    sizes = tuple(len(axis) for axis in _lattice_axes(VECTORS, resolution))
-    assert fresh_guard(VECTORS, resolution, sizes)
-    cos = np.cos
-
-    def flat_cos(x):
-        # one ulp off for 1-d arrays, the flat gather's layout, and nothing else
-        value = cos(x)
-        return np.nextafter(value, 2.0) if np.ndim(x) == 1 else value
-
-    monkeypatch.setattr(np, "cos", flat_cos)
-    fresh_guard.cache_clear()
-    assert not fresh_guard(VECTORS, resolution, sizes)
-    kernel_points.clear()
-    assert grid_search("chsh", VECTORS, resolution) == expected
-    assert sum(kernel_points) - 1 == expected.evaluations
 
 
 def test_an_image_beyond_delta_over_8_hands_the_rest_to_the_plain_scan(monkeypatch):

@@ -15,7 +15,9 @@ The file written holds, per workload and side, the median, quartiles and
 interquartile range of each gated metric of BENCHMARK.json and the timed-pass
 count of each run; per metric, the number of pairs the change won (ties count
 for neither side); every run's metrics; and the machine: nproc, CPython,
-numpy and the CPU dispatch targets numpy found on this processor.
+numpy, the CPU dispatch targets numpy found on this processor, and the
+seconds one fixed numpy loop took before the first pair and after the last,
+which differ when the machine slowed down or sped up during the pairs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +57,15 @@ def machine() -> dict:
         "numpy_cpu_dispatch": [name for name in __cpu_dispatch__ if __cpu_features__.get(name)],
         "platform": platform.platform(),
     }
+
+
+def calibration_s() -> float:
+    """Seconds of one fixed numpy loop: cosines and sums of a 65 536-value array, 400 times."""
+    values = np.linspace(0.0, 100.0, 65536)
+    start = time.perf_counter()
+    for _ in range(400):
+        np.cos(values).sum()
+    return time.perf_counter() - start
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -114,6 +126,7 @@ def main(argv=None) -> int:
         "settings": {"pairs": PAIRS, "seconds": seconds, "first_seed": FIRST_SEED, "trace": 0},
         "workloads": {},
     }
+    before = calibration_s()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as temp, \
             bytecheck.worktree(base_rev, Path(temp) / "base") as base_tree:
         trees = {"base": base_tree, "head": ROOT}
@@ -130,6 +143,7 @@ def main(argv=None) -> int:
                     f"{side} wall_s {record[side]['metrics']['wall_s']:.4g}" for side in order
                 ), flush=True)
             report["workloads"][workload] = {**summarize(runs, gated), "runs": runs}
+    report["machine"]["calibration_s"] = {"before": before, "after": calibration_s()}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

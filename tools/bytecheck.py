@@ -73,6 +73,13 @@ EDGE_ARGV = (
     (*_SEARCH, "vectors3d", "--resolution", "24"),
     (*_SEARCH, "vectors3d", "--resolution", "28.5"),
     ("search", "--inequality", "general", "--space", "vectors3d", "--resolution", "30"),
+    # the smallest pair tables (P = N = 2 on vectors3d, N = 2 on ghz-angles), and
+    # the plain scan through a table where no symmetry closes (ghz-angles at 7
+    # and vectors3d at 29 degrees)
+    (*_SEARCH, "vectors3d", "--resolution", "180"),
+    (*_SEARCH, "ghz-angles", "--resolution", "90"),
+    ("search", "--inequality", "ghz_general", "--space", "ghz-angles", "--resolution", "7"),
+    ("search", "--inequality", "dispersion_free", "--space", "vectors3d", "--resolution", "29"),
     (*_SEARCH, "nowhere"),
     (*_SEARCH, "planar-epr", "--resolution", "45", "--tolerance", "1", "--refine"),
     (*_SEARCH, "planar-epr", "--resolution", "45", "--tolerance", "nan"),
