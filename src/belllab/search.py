@@ -50,22 +50,30 @@ Computed margins are not exactly invariant: the premise, pinned by property
 tests, is that a point's and its image's computed margins differ by at most
 delta = 1e-12 (measured worst case about 2e-14).  The pass scans the box in
 blocks as usual, keeps every box point within 2 delta of the box maximum M,
-and evaluates every non-identity image of the K kept points, one kernel call
-per map of G, each coordinate a flat index array gathered from the same pair
-table as the blocks.  This is exact, for every symmetry.  The point p* the
-full scan reports has margin at least M and an image q in the box with margin
-at least M - delta, so q is kept and every image of q, p* among them, is
-evaluated.  A point whose box image was not kept has margin below M - delta,
-so it neither beats nor ties p*.  The largest margin, and of equal ones the
-smallest linear index, is therefore the full scan's answer, whatever order
-the points come in.
+and evaluates every non-identity image of the K kept points.  A map moves
+every setting alike, so it permutes the S settings of the pair table (S = N
+on the planar spaces, P * N on vectors3d), and each non-identity map of G
+becomes one row of S flat setting indices, built once per lattice.  An
+image's four settings are 1-d takes from its map's row at the kept point's
+flat setting indices, and its six pair values 1-d takes from the raveled
+table, the entries the blocks read.  The images go to the kernel in batches
+of whole maps, as many as fit in the table's size (or one map), and each
+batch folds into the maximum as it comes.  This is exact, for every symmetry.  The point
+p* the full scan reports has margin at least M and an image q in the box
+with margin at least M - delta, so q is kept and every image of q, p* among
+them, is evaluated.  A point whose box image was not kept has margin below
+M - delta, so it neither beats nor ties p*.  The largest margin, and of equal
+ones the smallest linear index, is therefore the full scan's answer, whatever
+order the points come in.
 
-Two premises are checked as the pass runs; a failure hands whatever the pass
-has not covered to the plain scan, so the result is the full scan's either
-way.  During the box, K must meet the cost rule of _orbit_limit.  After the
-images, none may differ from its kept point by more than delta / 8.
-SearchResult.evaluations counts the whole lattice either way, and a lattice on
-which no symmetry closes takes the plain scan.
+Three premises are checked; a failure hands whatever the pass has not
+covered to the plain scan, so the result is the full scan's either way.
+Where the map rows are built, every map must move each setting's coordinates
+alike and keep a's azimuth at the origin.  During the box, K must meet the
+cost rule of _orbit_limit.  In each batch, no image may differ from its kept
+point by more than delta / 8.  SearchResult.evaluations counts the whole
+lattice either way, and a lattice on which no symmetry closes takes the plain
+scan.
 """
 
 from __future__ import annotations
@@ -271,17 +279,34 @@ class _PairTable:
 
     values[s + t] is space.pair(*s, *t) for settings s and t given as indices
     into the axes, from one call of the pair function on their open mesh.
-    Every setting ranges over the axes of the last one, d.
+    Every setting ranges over the axes of the last one, d, whose lengths are
+    shape; a setting's flat index is its indices raveled over shape.
     """
 
     def __init__(self, space: ParameterSpace, axes):
         self.settings = space.settings
         *_, last = space.settings(axes, None)
         self.values = space.pair(*np.ix_(*last, *last))
+        self.shape = tuple(len(axis) for axis in last)
 
     def correlations(self, indices):
         """ParameterSpace.correlations at lattice indices, each pair value gathered from the table."""
         return _correlations(lambda *pair: self.values[pair], self.settings(indices, 0))
+
+    def flat_settings(self, indices):
+        """The flat index of each of the four settings at lattice indices."""
+        return tuple(np.ravel_multi_index(s, self.shape) for s in self.settings(indices, 0))
+
+    def image_correlations(self, rows, settings):
+        """correlations at the images of four flat settings under each map row, row after row.
+
+        rows are rows of _setting_maps.  An image's pair value s, t is entry
+        s * S + t of the raveled table, S the count of settings, which is
+        values[s + t] of the settings' indices: the bits correlations reads.
+        """
+        flat, count = self.values.reshape(-1), rows.shape[1]
+        moved = ((rows.take(s, axis=1).reshape(-1),) for s in settings)
+        return _correlations(lambda s, t: flat.take(s * count + t), moved)
 
 
 @functools.lru_cache(maxsize=64)
@@ -312,23 +337,51 @@ def _orbit_maps(symmetries, sizes):
     return offsets, signs, tuple(box)
 
 
+@functools.lru_cache(maxsize=64)
+def _setting_maps(settings, symmetries, sizes):
+    """Each map of _orbit_maps as a permutation of the flat settings, or None.
+
+    Row g takes a setting's flat index (_PairTable) to its image's under map
+    g.  Such rows exist when every map moves each setting's coordinates as it
+    moves d's, and keeps index 0 where a setting holds a coordinate at the
+    origin (a's azimuth on vectors3d); else None, and the lattice takes the
+    plain scan.  Kept like _orbit_maps, so read-only.
+    """
+    offsets, signs, _ = _orbit_maps(symmetries, sizes)
+    moves = [(offsets[:, [j]] + signs[:, [j]] * np.arange(n)) % n for j, n in enumerate(sizes)]
+    # each setting's coordinates as axis numbers, None at the origin
+    *owners, last = settings(tuple(range(len(sizes))), None)
+    for setting in owners:
+        for own, axis in zip(setting, last):
+            if own is None and not (moves[axis][:, 0] == 0).all():
+                return None
+            if own is not None and not np.array_equal(moves[own], moves[axis]):
+                return None
+    rows = np.zeros((len(offsets), 1), dtype=np.intp)
+    for axis in last:
+        rows = (rows[:, :, None] * sizes[axis] + moves[axis][:, None, :]).reshape(len(offsets), -1)
+    rows.setflags(write=False)
+    return rows
+
+
 def _orbit_limit(sizes, box, maps: int) -> int:
     """Most points the pass may keep; beyond it the plain scan covers the rest.
 
-    The rule was measured when a flat image took its sines and cosines per
-    point, at up to N open-mesh points each, N the longest axis: the kept
-    points' images may cost no more than the points outside the box that they
-    spare.  An image now gathers from the pair table, and the rule is kept as
-    measured until that cost is measured again.  And K stays at most
-    BLOCK_SIZE / 4, or N**2 where that is more, so the kept indices and
-    margins take no more memory than half a block's margins; the images'
-    margins, maps * K floats, are at most the points outside the box over N
-    (1.4 blocks' margins on the planar 5 degree lattice).  On a closing
-    planar lattice the rule reads K <= N**2.
+    The kept points' images may cost no more than the points outside the box
+    that they spare.  An image gathers its six pair values through the map
+    rows of _setting_maps and costs about 4 open-mesh points: 21-22 ns
+    against 6 ns on the planar 5 degree and ghz 2.5 degree general scans, 27
+    against 10 ns at planar 10 degrees (2 CPUs, CPython 3.11, numpy 2.4).
+    And K stays at most BLOCK_SIZE / 4, or N**2 where that is more, N the
+    longest axis, so the kept indices and margins take no more memory than
+    half a block's margins; a batch holds the images of one map, or of as
+    many maps as fit in the pair table's size.  Past that cap a batch leaves
+    the cache: the vectors3d 22.5 degree general scan (K = 540 830) took
+    about 95 ns per image, and its pass was slower than the plain scan.
     """
     longest = max(sizes)
     outside = math.prod(sizes) - math.prod(box)
-    return min(outside // (longest * maps), max(longest**2, BLOCK_SIZE // 4))
+    return min(outside // (4 * maps), max(longest**2, BLOCK_SIZE // 4))
 
 
 def _block_top(positions, margin, shape, starts, sizes):
@@ -370,15 +423,15 @@ def _lattice_maximum(kernel, table, sizes, orbits):
     """(margin, -linear index) of the lattice point with the largest computed margin.
 
     Of equal margins the smallest index wins.  With orbits, the (offsets,
-    signs, box) of _orbit_maps, the kept-orbit pass of the module docstring;
-    without, or when a premise fails, the plain scan, which the pass hands
-    whatever it has not yet covered.
+    signs, box) of _orbit_maps and the rows of _setting_maps, the kept-orbit
+    pass of the module docstring; without, or when a premise fails, the plain
+    scan, which the pass hands whatever it has not yet covered.
     """
     origin = (0,) * len(sizes)
     best = (-math.inf, 0)
     if orbits is None:
         return _scan(kernel, table, sizes, origin, sizes, best)
-    offsets, signs, box = orbits
+    offsets, signs, box, rows = orbits
 
     limit = _orbit_limit(sizes, box, len(offsets))
     blocks = _open_mesh_blocks(kernel, table, [np.arange(count) for count in box])
@@ -402,18 +455,23 @@ def _lattice_maximum(kernel, table, sizes, orbits):
     # the box starts at index 0 on every axis, so a box index is a lattice index
     kept, kept_margins = (np.concatenate(arrays) for arrays in zip(*kept))
     representatives = np.stack(np.unravel_index(kept, box), axis=-1)
+    settings = table.flat_settings(tuple(representatives.T))
     modulus = np.array(sizes)
-    images = np.empty((len(offsets), kept.size))  # row g: the margins of map g's images
-    for offset, sign, margin in zip(offsets, signs, images):
-        points = (offset + sign * representatives) % modulus
-        lhs, rhs = kernel(*table.correlations(tuple(points.T)))
-        np.subtract(lhs, rhs, out=margin)
-    if not np.abs(images - kept_margins).max() <= _SHIFT_DELTA / 8.0:
-        return _scan_outside(kernel, table, sizes, box, best)
-    top = float(images.max())
-    maps, ties = np.nonzero(images == top)
-    points = (offsets[maps] + signs[maps] * representatives[ties]) % modulus
-    return max(best, (top, -int(np.ravel_multi_index(tuple(points.T), sizes).min())))
+    # batches of maps of at most a table's worth of images (or one map), flat for the kernel
+    batch = max(1, table.values.size // kept.size)
+    for start in range(0, len(rows), batch):
+        moved = rows[start : start + batch]
+        lhs, rhs = kernel(*table.image_correlations(moved, settings))
+        images = (lhs - rhs).reshape(len(moved), kept.size)  # row g: map start + g's margins
+        if not np.abs(images - kept_margins).max() <= _SHIFT_DELTA / 8.0:
+            return _scan_outside(kernel, table, sizes, box, best)
+        top = float(images.max())
+        if top >= best[0]:  # else no image of the batch beats or ties the best
+            maps, ties = np.nonzero(images == top)
+            maps += start
+            points = (offsets[maps] + signs[maps] * representatives[ties]) % modulus
+            best = max(best, (top, -int(np.ravel_multi_index(tuple(points.T), sizes).min())))
+    return best
 
 
 def _axis_count(lo: float, hi: float, wrapped: bool, resolution: float) -> tuple[int, bool]:
@@ -468,7 +526,8 @@ def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) ->
     sizes = tuple(sizes)
     axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
     symmetries = tuple(sym for sym in space.symmetries if all(closing[axis] for axis in sym.axes))
-    orbits = _orbit_maps(symmetries, sizes) if symmetries else None
+    rows = _setting_maps(space.settings, symmetries, sizes) if symmetries else None
+    orbits = None if rows is None else (*_orbit_maps(symmetries, sizes), rows)
     _, position = _lattice_maximum(kernel, _PairTable(space, axes), sizes, orbits)
     best_index = np.unravel_index(-position, sizes)
     best_coords = tuple(float(axis[i]) for axis, i in zip(axes, best_index))

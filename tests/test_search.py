@@ -278,54 +278,48 @@ def test_rotation_quotient_matches_the_dense_scan_bit_for_bit(monkeypatch, kind,
             ) == expected, (inequality_id, block_size)
 
 
-def test_rotation_quotient_evaluates_only_the_kept_orbits(monkeypatch):
-    evaluated = []
-
-    def counting_kernel(inequality_id, family=None):
-        kernel = inequality_kernel(inequality_id, family)
-
-        def counted(*terms):
-            evaluated.append(np.broadcast(*terms).size)
-            return kernel(*terms)
-
-        return counted
-
-    monkeypatch.setattr(search, "inequality_kernel", counting_kernel)
-
+def test_rotation_quotient_evaluates_only_the_kept_orbits(monkeypatch, kernel_points):
     def scanned_points(inequality_id, kind, degrees, n):
-        evaluated.clear()
+        kernel_points.clear()
         result = grid_search(inequality_id, SPACES[kind], math.radians(degrees))
         assert result.evaluations == n**4
-        return sum(evaluated) - 1  # the reported optimum is evaluated once more
+        return sum(kernel_points) - 1  # the reported optimum is evaluated once more
 
     def calls_after_the_slab(n):
         # the slab's blocks end exactly at n**3 points; the last call is the optimum's
-        ends = list(itertools.accumulate(evaluated))
-        return evaluated[ends.index(n**3) + 1 : -1]
+        ends = list(itertools.accumulate(kernel_points))
+        return kernel_points[ends.index(n**3) + 1 : -1]
 
     # 72 points per axis: the first-index-0 slab, then the other 71 points of
-    # each of K kept orbits, K = 2 for dispersion_free and 4 for chsh, in one
-    # kernel call of K points per shift
+    # each of K kept orbits, K = 2 for dispersion_free and 4 for chsh; the
+    # images come in batches of whole shifts, as many as the 72 * 72 entries
+    # of the pair table hold, so all 71 shifts take one kernel call
     n = 72
     assert scanned_points("dispersion_free", "planar_epr", 5, n) == n**3 + 2 * (n - 1)
-    assert calls_after_the_slab(n) == [2] * (n - 1)
+    assert calls_after_the_slab(n) == [2 * (n - 1)]
     assert scanned_points("chsh", "planar_epr", 5, n) == n**3 + 4 * (n - 1)
-    assert calls_after_the_slab(n) == [4] * (n - 1)
+    assert calls_after_the_slab(n) == [4 * (n - 1)]
     assert scanned_points("ghz_dispersion_free", "ghz_angles", 2.5, n) == n**3 + 2 * (n - 1)
-    assert calls_after_the_slab(n) == [2] * (n - 1)
-    # the general bound keeps more than n**2 orbits, and 7 degrees does not close
-    assert scanned_points("general", "planar_epr", 5, n) == n**4
+    assert calls_after_the_slab(n) == [2 * (n - 1)]
+    # the general bound keeps K = 15 338 orbits, more than the table holds, so
+    # each shift's images take a call of their own
+    for inequality_id, kind, degrees in (
+        ("general", "planar_epr", 5), ("ghz_general", "ghz_angles", 2.5)
+    ):
+        assert scanned_points(inequality_id, kind, degrees, n) == 1462246  # n**3 + 15338 * (n - 1)
+        assert calls_after_the_slab(n) == [15338] * (n - 1)
+    # 7 degrees does not close
     assert scanned_points("general", "planar_epr", 7, 51) == 51**4
     # a lattice one ulp off its period still closes
     assert abs(120 * math.radians(3.0) - 2.0 * math.pi) == math.ulp(2.0 * math.pi)
     assert scanned_points("chsh", "planar_epr", 3, 120) < 2 * 120**3
-    after = calls_after_the_slab(120)
-    assert len(after) == 119 and len(set(after)) == 1 and after[0] <= 120**2
-    # K <= n**2 bounds each shift's call, not BLOCK_SIZE: 24 kept orbits
-    # at 30 degrees take one call per shift even with blocks of 7 points
+    (images,) = calls_after_the_slab(120)
+    assert images % 119 == 0 and images // 119 <= 120**2
+    # the table's size bounds a batch, not BLOCK_SIZE: 24 kept orbits at 30
+    # degrees take batches of 144 // 24 = 6 shifts even with blocks of 7 points
     monkeypatch.setattr(search, "BLOCK_SIZE", 7)
     assert scanned_points("chsh", "planar_epr", 30, 12) == 12**3 + 24 * 11
-    assert calls_after_the_slab(12) == [24] * 11
+    assert calls_after_the_slab(12) == [24 * 6, 24 * 5]
 
 
 @pytest.mark.parametrize(
@@ -419,6 +413,51 @@ def _lattice_axes(space, resolution):
     ]
 
 
+@pytest.mark.parametrize(
+    "kind, degrees",
+    [("planar_epr", 5), ("ghz_angles", 2.5), ("vectors3d", 22.5), ("vectors3d", 45)],
+)
+def test_the_map_rows_gather_the_images_correlations_bit_for_bit(kind, degrees):
+    # the kept-orbit pass reads an image's pair values through the map rows of
+    # _setting_maps; they must be the entries table.correlations reads at the
+    # image's lattice indices (offset + sign * i) % n, for every map
+    space = SPACES[kind]
+    resolution = math.radians(degrees)
+    intervals = zip(space.bounds, space.wrap)
+    assert all(_axis_count(lo, hi, wrapped, resolution)[1] for (lo, hi), wrapped in intervals)
+    axes = _lattice_axes(space, resolution)
+    sizes = tuple(len(axis) for axis in axes)
+    table = search._PairTable(space, axes)
+    offsets, signs, _ = search._orbit_maps(space.symmetries, sizes)
+    rows = search._setting_maps(space.settings, space.symmetries, sizes)
+    assert rows.shape == (len(offsets), math.prod(table.shape))
+    points = np.random.default_rng(0).integers(0, sizes, size=(3000, len(sizes)))
+    batched = table.image_correlations(rows, table.flat_settings(tuple(points.T)))
+    for g, (offset, sign) in enumerate(zip(offsets, signs)):
+        image = (offset + sign * points) % np.array(sizes)
+        expected = table.correlations(tuple(image.T))
+        for field, (got, want) in enumerate(zip(batched[:6], expected[:6])):
+            got = got.reshape(len(rows), len(points))[g]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (g, field)
+
+
+@pytest.mark.parametrize("kind", SPACE_KINDS)
+def test_every_symmetry_moves_the_settings_alike_and_fixes_the_origin(kind):
+    # the premise of the map rows, on a lattice that closes every axis
+    space = SPACES[kind]
+    degrees = 22.5 if kind == "vectors3d" else 5
+    sizes = tuple(len(axis) for axis in _lattice_axes(space, math.radians(degrees)))
+    for symmetries in [space.symmetries, *((symmetry,) for symmetry in space.symmetries)]:
+        assert search._setting_maps(space.settings, symmetries, sizes) is not None
+    # a map that moves one setting's coordinates only, or a's fixed azimuth,
+    # is no permutation of the settings: the lattice takes the plain scan
+    lone = search._Symmetry((0,), lambda n: ((1, 1),))
+    assert search._setting_maps(space.settings, (lone,), sizes) is None
+    if kind == "vectors3d":
+        turn = search._Symmetry((2, 4, 6), lambda n: ((1, 1),))  # every azimuth one step on
+        assert search._setting_maps(space.settings, (turn,), sizes) is None
+
+
 @pytest.fixture
 def kernel_points(monkeypatch):
     """The point count of every kernel call grid_search makes, in call order."""
@@ -501,8 +540,9 @@ def test_reflection_pass_matches_the_dense_scan_bit_for_bit(monkeypatch, degrees
 
 def test_reflection_pass_evaluates_the_box_and_the_kept_images(kernel_points):
     # at 22.5 degrees the box theta_a <= 90, phi_b <= 180 degrees holds 5 of the
-    # 9 polar and 9 of the 16 azimuth values; then one call per map (z, y and
-    # zy) of the K points within 2 delta of the box maximum
+    # 9 polar and 9 of the 16 azimuth values; then the images under the three
+    # maps (z, y and zy) of the K points within 2 delta of the box maximum, in
+    # one call, as 3 K images fit in the 144 * 144 entries of the pair table
     total = 9**4 * 16**3
     box = total // (9 * 16) * 5 * 9
     resolution = math.radians(22.5)
@@ -511,7 +551,7 @@ def test_reflection_pass_evaluates_the_box_and_the_kept_images(kernel_points):
         assert grid_search(inequality_id, VECTORS, resolution).evaluations == total
         ends = list(itertools.accumulate(kernel_points))
         # the last call is the reported optimum's evaluate_point
-        assert kernel_points[ends.index(box) + 1 : -1] == [kept] * 3
+        assert kernel_points[ends.index(box) + 1 : -1] == [kept * 3]
     # the general bound keeps more points than the cost rule allows, so the
     # plain scan covers the rest of the box and then the rest of the lattice
     kernel_points.clear()
@@ -539,11 +579,12 @@ def test_an_image_beyond_delta_over_8_hands_the_rest_to_the_plain_scan(monkeypat
 
     monkeypatch.setattr(search, "inequality_kernel", offset_kernel)
     assert grid_search("chsh", VECTORS, resolution) == expected
-    # the box (3 * 5 of its 5 * 8 values of theta_a and phi_b), the images of
-    # the three maps, the lattice outside the box, and the optimum's evaluate_point
+    # the box (3 * 5 of its 5 * 8 values of theta_a and phi_b), one batch of
+    # the images of K = 64 kept points under the three maps, the lattice
+    # outside the box, and the optimum's evaluate_point
     box = expected.evaluations // (5 * 8) * 3 * 5
-    assert evaluated[0] == box
-    assert sum(evaluated[4:-1]) == expected.evaluations - box
+    assert evaluated[:2] == [box, 64 * 3]
+    assert sum(evaluated[2:-1]) == expected.evaluations - box
 
 
 def test_grid_lex_smallest_tie_break():

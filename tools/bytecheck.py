@@ -66,13 +66,17 @@ EDGE_ARGV = (
     (*_SEARCH, "vectors3d"),
     # vectors3d scans by reflection orbit: z -> -z and y -> -y both close at 45
     # and 36 degrees, only y -> -y at 72 and 24, neither at 28.5; the general
-    # bound at 30 keeps more points than the cost rule allows
+    # bound at 30 keeps more points (K = 145 854) than the cost rule's memory cap
     (*_SEARCH, "vectors3d", "--resolution", "45"),
     (*_SEARCH, "vectors3d", "--resolution", "36"),
     (*_SEARCH, "vectors3d", "--resolution", "72"),
     (*_SEARCH, "vectors3d", "--resolution", "24"),
     (*_SEARCH, "vectors3d", "--resolution", "28.5"),
     ("search", "--inequality", "general", "--space", "vectors3d", "--resolution", "30"),
+    # the general bound's kept-orbit pass on planar-epr: K = 61 778 kept points at
+    # 2.5 degrees, just under the memory cap of 65 536, and K = 3 782 at 10
+    ("search", "--inequality", "general", "--space", "planar-epr", "--resolution", "2.5"),
+    ("search", "--inequality", "general", "--space", "planar-epr", "--resolution", "10"),
     # the smallest pair tables (P = N = 2 on vectors3d, N = 2 on ghz-angles), and
     # the plain scan through a table where no symmetry closes (ghz-angles at 7
     # and vectors3d at 29 degrees)
