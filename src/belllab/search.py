@@ -34,15 +34,16 @@ point.  Ties compare the computed float64 margins exactly and go to the
 lexicographically first (smallest linear) lattice index: each block's
 np.argmax is its first maximum, and blocks fold in any order.
 
-Kept-orbit pass.  Each space lists its symmetries in SPACES: groups of index
-maps i -> (offset + sign * i) mod n applied to a set of axes at once, each
-exact when the lattice steps of its axes close their interval (span it to
-within 4 ulp).  planar_epr and ghz_angles depend on the angles only through
-their differences, so shifting all four indices by one step is exact.  On
+Kept-orbit pass.  Each space lists its symmetries in SPACES, one per
+coordinate of a setting: index maps i -> (offset + sign * i) mod n applied to
+that coordinate of all four settings at once, each exact when the lattice
+steps of the axes it moves close their interval (span it to within 4 ulp).
+planar_epr and ghz_angles depend on the angles only through their
+differences, so shifting all four indices by one step is exact.  On
 vectors3d, z -> -z takes each polar index i to P - 1 - i and y -> -y each
 azimuth index k to (N - k) mod N; both keep every dot product.  The
-symmetries that close generate a group G.  The box keeps, on the first axis
-of each, only the indices that are the least image of some index (first index
+symmetries that apply generate a group G.  The box keeps, on the first axis
+each moves, only the indices that are the least image of some index (first index
 0 under the shifts; theta_a <= 90 and phi_b <= 180 degrees under the
 reflections), so it holds an image of every lattice point.
 
@@ -52,11 +53,13 @@ delta = 1e-12 (measured worst case about 2e-14).  The pass scans the box in
 blocks as usual, keeps every box point within 2 delta of the box maximum M,
 and evaluates every non-identity image of the K kept points.  A map moves
 every setting alike, so it permutes the S settings of the pair table (S = N
-on the planar spaces, P * N on vectors3d), and each non-identity map of G
-becomes one row of S flat setting indices, built once per lattice.  An
-image's four settings are 1-d takes from its map's row at the kept point's
-flat setting indices, and its six pair values 1-d takes from the raveled
-table, the entries the blocks read.  The images go to the kernel in batches
+on the planar spaces, P * N on vectors3d): each non-identity map of G is one
+row of S flat setting indices, the outer product of its coordinates' index
+images, built once per lattice.  An image's four settings are 1-d takes from
+its map's row at the kept point's flat setting indices, and its six pair
+values 1-d takes from the raveled table, the entries the blocks read; an
+image that ties the best margin has its lattice index read back from its
+four settings.  The images go to the kernel in batches
 of whole maps, as many as fit in the table's size (or one map), and each
 batch folds into the maximum as it comes.  This is exact, for every symmetry.  The point
 p* the full scan reports has margin at least M and an image q in the box
@@ -66,14 +69,16 @@ M - delta, so it neither beats nor ties p*.  The largest margin, and of equal
 ones the smallest linear index, is therefore the full scan's answer, whatever
 order the points come in.
 
-Three premises are checked; a failure hands whatever the pass has not
-covered to the plain scan, so the result is the full scan's either way.
-Where the map rows are built, every map must move each setting's coordinates
-alike and keep a's azimuth at the origin.  During the box, K must meet the
-cost rule of _orbit_limit.  In each batch, no image may differ from its kept
-point by more than delta / 8.  SearchResult.evaluations counts the whole
-lattice either way, and a lattice on which no symmetry closes takes the plain
-scan.
+A symmetry acts on one coordinate of every setting, so it cannot move one
+setting's coordinate without the others'.  Three premises are checked, and
+the result is the full scan's either way.  Where the map rows are built, a
+symmetry applies only if each of its maps keeps index 0 where a setting
+holds its coordinate at the origin (a's azimuth on vectors3d); a lattice on
+which no symmetry applies takes the plain scan.  During the box, K must meet
+the cost rule of _orbit_limit, and in each batch no image may differ from
+its kept point by more than delta / 8; a failure of either hands whatever
+the pass has not covered to the plain scan.  SearchResult.evaluations counts
+the whole lattice either way.
 """
 
 from __future__ import annotations
@@ -112,19 +117,6 @@ _SHIFT_DELTA = 1e-12
 
 
 @dataclass(frozen=True)
-class _Symmetry:
-    """Index maps i -> (offset + sign * i) mod n, each applied to every axis in axes at once.
-
-    maps(n) gives the (offset, sign) of each map other than the identity, for
-    axes of n points; the axes have equal bounds, and a map keeps the
-    correlations when the lattice steps of those axes close their interval.
-    """
-
-    axes: tuple[int, ...]
-    maps: Callable[[int], tuple[tuple[int, int], ...]]
-
-
-@dataclass(frozen=True)
 class ParameterSpace:
     """Search domain: per-coordinate closed intervals (radians) plus wrap flags.
 
@@ -134,9 +126,12 @@ class ParameterSpace:
     or lattice indices, into the four settings a, b, c, d, each a tuple of
     coordinates; origin is a coordinate held at the first value of its axis,
     0.0 as an angle and 0 as an index.  pair(*s, *t) is the pair function of
-    settings s and t.  symmetries lists groups of lattice index maps that keep
-    the correlations, acting on disjoint axes, each exact on a lattice that
-    closes its axes (module docstring).
+    settings s and t.  symmetries has one entry per coordinate of a setting:
+    symmetries[c](n) gives the (offset, sign) of each non-identity lattice
+    index map i -> (offset + sign * i) mod n of that coordinate, on axes of n
+    points, applied to coordinate c of all four settings at once; the maps
+    keep the correlations on a lattice that closes those axes (module
+    docstring).
     """
 
     family: str
@@ -144,7 +139,7 @@ class ParameterSpace:
     wrap: tuple[bool, ...]
     settings: Callable
     pair: Callable
-    symmetries: tuple[_Symmetry, ...] = ()
+    symmetries: tuple[Callable[[int], tuple[tuple[int, int], ...]], ...]
 
     @property
     def n_coords(self) -> int:
@@ -189,7 +184,7 @@ _POLAR = (0.0, math.pi)
 _AZIMUTH = (0.0, 2.0 * math.pi)
 
 # every angle shifted by the same number of lattice steps
-_ROTATIONS = (_Symmetry((0, 1, 2, 3), lambda n: tuple((s, 1) for s in range(1, n))),)
+_ROTATIONS = (lambda n: tuple((s, 1) for s in range(1, n)),)
 
 SPACES = {
     "planar_epr": ParameterSpace(
@@ -205,8 +200,8 @@ SPACES = {
         _spherical_settings,
         _spherical_dot,
         (
-            _Symmetry((0, 1, 3, 5), lambda n: ((n - 1, -1),)),  # z -> -z: theta -> pi - theta
-            _Symmetry((2, 4, 6), lambda n: ((0, -1),)),  # y -> -y: phi -> -phi
+            lambda n: ((n - 1, -1),),  # z -> -z: theta -> pi - theta
+            lambda n: ((0, -1),),  # y -> -y: phi -> -phi
         ),
     ),
 }
@@ -280,7 +275,8 @@ class _PairTable:
     values[s + t] is space.pair(*s, *t) for settings s and t given as indices
     into the axes, from one call of the pair function on their open mesh.
     Every setting ranges over the axes of the last one, d, whose lengths are
-    shape; a setting's flat index is its indices raveled over shape.
+    shape; a setting's flat index is its indices raveled over shape.  The
+    lattice's axis lengths are sizes.
     """
 
     def __init__(self, space: ParameterSpace, axes):
@@ -288,6 +284,7 @@ class _PairTable:
         *_, last = space.settings(axes, None)
         self.values = space.pair(*np.ix_(*last, *last))
         self.shape = tuple(len(axis) for axis in last)
+        self.sizes = tuple(len(axis) for axis in axes)
 
     def correlations(self, indices):
         """ParameterSpace.correlations at lattice indices, each pair value gathered from the table."""
@@ -297,10 +294,24 @@ class _PairTable:
         """The flat index of each of the four settings at lattice indices."""
         return tuple(np.ravel_multi_index(s, self.shape) for s in self.settings(indices, 0))
 
+    def lattice_index(self, settings):
+        """The linear lattice index of points given by their four flat settings.
+
+        The inverse of flat_settings: each flat index unravels over shape and
+        each of its indices goes to the axis the setting holds it on.
+        """
+        index = [0] * len(self.sizes)
+        owners = self.settings(tuple(range(len(self.sizes))), None)
+        for flat, axes in zip(settings, owners):
+            for axis, i in zip(axes, np.unravel_index(flat, self.shape)):
+                if axis is not None:  # the origin holds index 0
+                    index[axis] = i
+        return np.ravel_multi_index(index, self.sizes)
+
     def image_correlations(self, rows, settings):
         """correlations at the images of four flat settings under each map row, row after row.
 
-        rows are rows of _setting_maps.  An image's pair value s, t is entry
+        rows are rows of _orbits.  An image's pair value s, t is entry
         s * S + t of the raveled table, S the count of settings, which is
         values[s + t] of the settings' indices: the bits correlations reads.
         """
@@ -310,58 +321,39 @@ class _PairTable:
 
 
 @functools.lru_cache(maxsize=64)
-def _orbit_maps(symmetries, sizes):
-    """The maps of the group the symmetries generate, identity excluded, and the box.
+def _orbits(settings, symmetries, sizes, closing):
+    """(box, rows) of the kept-orbit pass over a lattice, or None for the plain scan.
 
-    Row g of the (offsets, signs) arrays takes a lattice index i to
-    (offsets[g] + signs[g] * i) mod sizes.  The box gives each axis a count of
-    leading indices: on each symmetry's first axis, 1 + the largest least image
-    of an index, so the box holds an image of every lattice point.  Kept per
-    (symmetries, sizes), so the arrays are read-only.
+    symmetries[c] moves coordinate c of every setting, on the axes that
+    settings gives that coordinate; it applies when all of them close and
+    each of its maps keeps index 0 where a setting holds the coordinate at
+    the origin (a's azimuth on vectors3d).  Row g of rows takes a setting's
+    flat index (_PairTable) to its image's under map g of the group the
+    applying symmetries generate, identity excluded, the later coordinate
+    varying fastest.  The box gives each axis a count of leading indices: on
+    the first axis each symmetry moves, 1 + the largest least image of an
+    index, so the box holds an image of every lattice point.  Kept per
+    lattice, so rows is read-only.
     """
-    offsets = np.zeros((1, len(sizes)), dtype=np.intp)
-    signs = np.ones((1, len(sizes)), dtype=np.intp)
     box = list(sizes)
-    for symmetry in symmetries:
-        n = sizes[symmetry.axes[0]]
-        own = np.array(((0, 1), *symmetry.maps(n)))[:, :, None]
-        moved = np.isin(np.arange(len(sizes)), symmetry.axes)
-        # every map so far followed by each of this symmetry's, which moves other axes
-        offsets = np.where(moved, own[None, :, 0], offsets[:, None]).reshape(-1, len(sizes))
-        signs = np.where(moved, own[None, :, 1], signs[:, None]).reshape(-1, len(sizes))
-        least = ((own[:, 0] + own[:, 1] * np.arange(n)) % n).min(axis=0)
-        box[symmetry.axes[0]] = 1 + int(least.max())
-    offsets, signs = offsets[1:], signs[1:]
-    offsets.setflags(write=False)
-    signs.setflags(write=False)
-    return offsets, signs, tuple(box)
-
-
-@functools.lru_cache(maxsize=64)
-def _setting_maps(settings, symmetries, sizes):
-    """Each map of _orbit_maps as a permutation of the flat settings, or None.
-
-    Row g takes a setting's flat index (_PairTable) to its image's under map
-    g.  Such rows exist when every map moves each setting's coordinates as it
-    moves d's, and keeps index 0 where a setting holds a coordinate at the
-    origin (a's azimuth on vectors3d); else None, and the lattice takes the
-    plain scan.  Kept like _orbit_maps, so read-only.
-    """
-    offsets, signs, _ = _orbit_maps(symmetries, sizes)
-    moves = [(offsets[:, [j]] + signs[:, [j]] * np.arange(n)) % n for j, n in enumerate(sizes)]
-    # each setting's coordinates as axis numbers, None at the origin
-    *owners, last = settings(tuple(range(len(sizes))), None)
-    for setting in owners:
-        for own, axis in zip(setting, last):
-            if own is None and not (moves[axis][:, 0] == 0).all():
-                return None
-            if own is not None and not np.array_equal(moves[own], moves[axis]):
-                return None
-    rows = np.zeros((len(offsets), 1), dtype=np.intp)
-    for axis in last:
-        rows = (rows[:, :, None] * sizes[axis] + moves[axis][:, None, :]).reshape(len(offsets), -1)
+    rows = np.zeros((1, 1), dtype=np.intp)
+    for maps, owners in zip(symmetries, zip(*settings(tuple(range(len(sizes))), None))):
+        axes = [axis for axis in owners if axis is not None]
+        n = sizes[axes[0]]
+        own = np.array(((0, 1), *maps(n)))
+        images = (own[:, :1] + own[:, 1:] * np.arange(n)) % n  # row m: each index under map m
+        fixes_origin = None not in owners or (images[:, 0] == 0).all()
+        if not (fixes_origin and all(closing[axis] for axis in axes)):
+            images = images[:1]  # the identity alone: the symmetry does not apply
+        box[axes[0]] = 1 + int(images.min(axis=0).max())
+        # every map so far followed by each of this coordinate's
+        rows = rows[:, None, :, None] * n + images[None, :, None, :]
+        rows = rows.reshape(rows.shape[0] * rows.shape[1], -1)
+    if len(rows) == 1:
+        return None
+    rows = rows[1:]
     rows.setflags(write=False)
-    return rows
+    return tuple(box), rows
 
 
 def _orbit_limit(sizes, box, maps: int) -> int:
@@ -369,7 +361,7 @@ def _orbit_limit(sizes, box, maps: int) -> int:
 
     The kept points' images may cost no more than the points outside the box
     that they spare.  An image gathers its six pair values through the map
-    rows of _setting_maps and costs about 4 open-mesh points: 21-22 ns
+    rows of _orbits and costs about 4 open-mesh points: 21-22 ns
     against 6 ns on the planar 5 degree and ghz 2.5 degree general scans, 27
     against 10 ns at planar 10 degrees (2 CPUs, CPython 3.11, numpy 2.4).
     And K stays at most BLOCK_SIZE / 4, or N**2 where that is more, N the
@@ -422,18 +414,18 @@ def _scan_outside(kernel, table, sizes, box, best):
 def _lattice_maximum(kernel, table, sizes, orbits):
     """(margin, -linear index) of the lattice point with the largest computed margin.
 
-    Of equal margins the smallest index wins.  With orbits, the (offsets,
-    signs, box) of _orbit_maps and the rows of _setting_maps, the kept-orbit
-    pass of the module docstring; without, or when a premise fails, the plain
-    scan, which the pass hands whatever it has not yet covered.
+    Of equal margins the smallest index wins.  With orbits, the (box, rows)
+    of _orbits, the kept-orbit pass of the module docstring; without, or when
+    a premise fails, the plain scan, which the pass hands whatever it has not
+    yet covered.
     """
     origin = (0,) * len(sizes)
     best = (-math.inf, 0)
     if orbits is None:
         return _scan(kernel, table, sizes, origin, sizes, best)
-    offsets, signs, box, rows = orbits
+    box, rows = orbits
 
-    limit = _orbit_limit(sizes, box, len(offsets))
+    limit = _orbit_limit(sizes, box, len(rows))
     blocks = _open_mesh_blocks(kernel, table, [np.arange(count) for count in box])
     floor = -math.inf
     kept = []  # (box positions, margins) at or above the floor, one pair per block
@@ -454,9 +446,7 @@ def _lattice_maximum(kernel, table, sizes, orbits):
 
     # the box starts at index 0 on every axis, so a box index is a lattice index
     kept, kept_margins = (np.concatenate(arrays) for arrays in zip(*kept))
-    representatives = np.stack(np.unravel_index(kept, box), axis=-1)
-    settings = table.flat_settings(tuple(representatives.T))
-    modulus = np.array(sizes)
+    settings = table.flat_settings(np.unravel_index(kept, box))
     # batches of maps of at most a table's worth of images (or one map), flat for the kernel
     batch = max(1, table.values.size // kept.size)
     for start in range(0, len(rows), batch):
@@ -468,9 +458,8 @@ def _lattice_maximum(kernel, table, sizes, orbits):
         top = float(images.max())
         if top >= best[0]:  # else no image of the batch beats or ties the best
             maps, ties = np.nonzero(images == top)
-            maps += start
-            points = (offsets[maps] + signs[maps] * representatives[ties]) % modulus
-            best = max(best, (top, -int(np.ravel_multi_index(tuple(points.T), sizes).min())))
+            index = table.lattice_index(tuple(moved[maps, s[ties]] for s in settings))
+            best = max(best, (top, -int(index.min())))
     return best
 
 
@@ -525,9 +514,7 @@ def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) ->
         )
     sizes = tuple(sizes)
     axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
-    symmetries = tuple(sym for sym in space.symmetries if all(closing[axis] for axis in sym.axes))
-    rows = _setting_maps(space.settings, symmetries, sizes) if symmetries else None
-    orbits = None if rows is None else (*_orbit_maps(symmetries, sizes), rows)
+    orbits = _orbits(space.settings, space.symmetries, sizes, tuple(closing))
     _, position = _lattice_maximum(kernel, _PairTable(space, axes), sizes, orbits)
     best_index = np.unravel_index(-position, sizes)
     best_coords = tuple(float(axis[i]) for axis, i in zip(axes, best_index))

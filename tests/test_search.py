@@ -413,27 +413,42 @@ def _lattice_axes(space, resolution):
     ]
 
 
+def _axis_maps(kind, sizes):
+    """The (offsets, signs) on every axis of each non-identity symmetry map, in the rows' order."""
+    if kind != "vectors3d":  # every angle shifted by s steps
+        return [(np.full(4, s), np.ones(4, dtype=int)) for s in range(1, sizes[0])]
+    polar = np.isin(np.arange(7), [0, 1, 3, 5])
+    z = (np.where(polar, sizes[0] - 1, 0), np.where(polar, -1, 1))  # theta -> pi - theta
+    y = (np.zeros(7, dtype=int), np.where(polar, 1, -1))  # phi -> -phi
+    return [y, z, (z[0], -np.ones(7, dtype=int))]
+
+
 @pytest.mark.parametrize(
     "kind, degrees",
     [("planar_epr", 5), ("ghz_angles", 2.5), ("vectors3d", 22.5), ("vectors3d", 45)],
 )
 def test_the_map_rows_gather_the_images_correlations_bit_for_bit(kind, degrees):
     # the kept-orbit pass reads an image's pair values through the map rows of
-    # _setting_maps; they must be the entries table.correlations reads at the
-    # image's lattice indices (offset + sign * i) % n, for every map
+    # _orbits; they must be the entries table.correlations reads at the image's
+    # lattice indices (offset + sign * i) % n, for every map
     space = SPACES[kind]
     resolution = math.radians(degrees)
     intervals = zip(space.bounds, space.wrap)
-    assert all(_axis_count(lo, hi, wrapped, resolution)[1] for (lo, hi), wrapped in intervals)
+    closing = tuple(_axis_count(lo, hi, wrapped, resolution)[1] for (lo, hi), wrapped in intervals)
+    assert all(closing)
     axes = _lattice_axes(space, resolution)
     sizes = tuple(len(axis) for axis in axes)
     table = search._PairTable(space, axes)
-    offsets, signs, _ = search._orbit_maps(space.symmetries, sizes)
-    rows = search._setting_maps(space.settings, space.symmetries, sizes)
-    assert rows.shape == (len(offsets), math.prod(table.shape))
+    maps = _axis_maps(kind, sizes)
+    _, rows = search._orbits(space.settings, space.symmetries, sizes, closing)
+    assert rows.shape == (len(maps), math.prod(table.shape))
     points = np.random.default_rng(0).integers(0, sizes, size=(3000, len(sizes)))
-    batched = table.image_correlations(rows, table.flat_settings(tuple(points.T)))
-    for g, (offset, sign) in enumerate(zip(offsets, signs)):
+    settings = table.flat_settings(tuple(points.T))
+    # a tied image's lattice index is read back from its flat settings
+    indices = np.ravel_multi_index(tuple(points.T), sizes)
+    assert np.array_equal(table.lattice_index(settings), indices)
+    batched = table.image_correlations(rows, settings)
+    for g, (offset, sign) in enumerate(maps):
         image = (offset + sign * points) % np.array(sizes)
         expected = table.correlations(tuple(image.T))
         for field, (got, want) in enumerate(zip(batched[:6], expected[:6])):
@@ -443,19 +458,32 @@ def test_the_map_rows_gather_the_images_correlations_bit_for_bit(kind, degrees):
 
 @pytest.mark.parametrize("kind", SPACE_KINDS)
 def test_every_symmetry_moves_the_settings_alike_and_fixes_the_origin(kind):
-    # the premise of the map rows, on a lattice that closes every axis
+    # a symmetry acts on one coordinate of every setting; on a lattice that
+    # closes every axis, each alone and all together give map rows
     space = SPACES[kind]
     degrees = 22.5 if kind == "vectors3d" else 5
     sizes = tuple(len(axis) for axis in _lattice_axes(space, math.radians(degrees)))
-    for symmetries in [space.symmetries, *((symmetry,) for symmetry in space.symmetries)]:
-        assert search._setting_maps(space.settings, symmetries, sizes) is not None
-    # a map that moves one setting's coordinates only, or a's fixed azimuth,
-    # is no permutation of the settings: the lattice takes the plain scan
-    lone = search._Symmetry((0,), lambda n: ((1, 1),))
-    assert search._setting_maps(space.settings, (lone,), sizes) is None
+    closing = (True,) * len(sizes)
+
+    def identity(n):
+        return ()
+
+    alone = [
+        tuple(maps if c == k else identity for c, maps in enumerate(space.symmetries))
+        for k in range(len(space.symmetries))
+    ]
+    for symmetries in [space.symmetries, *alone]:
+        assert search._orbits(space.settings, symmetries, sizes, closing) is not None
+    # a lattice on which no symmetry closes takes the plain scan
+    assert search._orbits(space.settings, space.symmetries, sizes, (False,) * len(sizes)) is None
     if kind == "vectors3d":
-        turn = search._Symmetry((2, 4, 6), lambda n: ((1, 1),))  # every azimuth one step on
-        assert search._setting_maps(space.settings, (turn,), sizes) is None
+        # turning every azimuth one step on moves a's, which is fixed at the origin
+        def turn(n):
+            return ((1, 1),)
+
+        assert search._orbits(space.settings, (identity, turn), sizes, closing) is None
+        _, rows = search._orbits(space.settings, (space.symmetries[0], turn), sizes, closing)
+        assert len(rows) == 1  # z -> -z alone
 
 
 @pytest.fixture
@@ -510,7 +538,10 @@ def test_reflecting_a_closing_vectors3d_lattice_moves_a_margin_by_at_most_delta(
 def test_reflection_pass_matches_the_dense_scan_bit_for_bit(monkeypatch, degrees, cut_block):
     resolution = math.radians(degrees)
     axes = _lattice_axes(VECTORS, resolution)
-    *_, box = search._orbit_maps(VECTORS.symmetries, tuple(len(axis) for axis in axes))
+    sizes = tuple(len(axis) for axis in axes)
+    intervals = zip(VECTORS.bounds, VECTORS.wrap)
+    closing = tuple(_axis_count(lo, hi, wrapped, resolution)[1] for (lo, hi), wrapped in intervals)
+    box, _ = search._orbits(VECTORS.settings, VECTORS.symmetries, sizes, closing)
     assert box[0] < len(axes[0]) and box[2] < len(axes[2])
 
     def first_block_axes(lattice_axes):

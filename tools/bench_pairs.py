@@ -2,13 +2,16 @@
 
     python tools/bench_pairs.py --base REV --out BENCH.json
 
-REV is checked out into a temporary directory with the worktree helper of
-tools/bytecheck.py.  For each workload of BENCHMARK.json, pair k of PAIRS runs
-``perfbench/run.py --workload NAME --seed FIRST_SEED+k --seconds S --trace 0``
-once in each tree, S being BENCHMARK.json's run_seconds, each tree with its
-own runner and its own ``src/``; the base runs first in even pairs and this
-tree first in odd ones, so a slow phase of the machine falls on both sides
-alike.  A run that exits non-zero or reports ``correct: false``
+REV is checked out into ``<temp>/base`` with the worktree helper of
+tools/bytecheck.py, and this tree's ``src/`` and ``perfbench/`` are copied to
+``<temp>/head``, so both sides run from paths of equal length: the path of
+the runner and of the imported package moves the heap layout of a run, and
+with it the lattice timings.  For each workload of BENCHMARK.json, pair k of
+PAIRS runs ``perfbench/run.py --workload NAME --seed FIRST_SEED+k --seconds S
+--trace 0`` once in each tree, S being BENCHMARK.json's run_seconds, each
+tree with its own runner and its own ``src/``; the base runs first in even
+pairs and this tree first in odd ones, so a slow phase of the machine falls
+on both sides alike.  A run that exits non-zero or reports ``correct: false``
 stops the script.
 
 The file written holds, per workload and side, the median, quartiles and
@@ -27,6 +30,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -129,7 +133,11 @@ def main(argv=None) -> int:
     before = calibration_s()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as temp, \
             bytecheck.worktree(base_rev, Path(temp) / "base") as base_tree:
-        trees = {"base": base_tree, "head": ROOT}
+        head_tree = Path(temp) / "head"
+        for part in ("src", "perfbench"):
+            shutil.copytree(ROOT / part, head_tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        trees = {"base": base_tree, "head": head_tree}
         for workload in names:
             runs = []
             for pair in range(PAIRS):
