@@ -44,7 +44,7 @@ from .inequalities import (
     make_verdict,
     verdict_for_profile,
 )
-from .lhv import MAX_CHECK_MODELS, LhvModel, check_general_bound, lhv_profile
+from .lhv import MAX_CHECK_MODELS, MAX_MODEL_POINTS, LhvModel, check_general_bound, lhv_profile
 from .quantum import epr_profile, ghz_profile
 from .search import REFINE_SHRINK, SPACE_KINDS, grid_search, parameter_space, refine, sweep
 
@@ -432,6 +432,12 @@ def cmd_lhv_check(args) -> tuple[str, int]:
         raise ValueError("--models must be at least 1")
     if args.models > MAX_CHECK_MODELS:
         raise ValueError(f"--models must be at most {MAX_CHECK_MODELS}, got {args.models}")
+    # the hour MAX_CHECK_MODELS allows at 8 points; a bad --points keeps the draw's message
+    most = 8 * MAX_CHECK_MODELS
+    if args.points <= MAX_MODEL_POINTS and args.models * args.points > most:
+        raise ValueError(
+            f"--models times --points must be at most {most}, got {args.models} x {args.points}"
+        )
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     tolerance = _effective_tolerance(args.tolerance, None)

@@ -1,13 +1,15 @@
 """Unit measurement directions and dot-product realizability checks.
 
 Four measurement axes a, b, c, d enter every inequality only through their
-pairwise dot products.  A candidate set of six dot products is realizable by
-actual unit vectors exactly when the corresponding 4x4 Gram matrix is
-positive semidefinite; rank decides how many spatial dimensions are needed.
+pairwise dot products, in pairwise's order (ab, ac, ad, bc, bd, cd).  A
+candidate set of six dot products is realizable by actual unit vectors
+exactly when the corresponding 4x4 Gram matrix is positive semidefinite;
+rank decides how many spatial dimensions are needed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -86,10 +88,13 @@ def planar(angles: Sequence[float]) -> tuple[Direction, ...]:
     return tuple(Direction.planar(theta) for theta in angles)
 
 
+def pairwise(pair, settings) -> tuple:
+    """pair(s, t) of each two of the four settings a, b, c, d: (ab, ac, ad, bc, bd, cd)."""
+    return tuple(pair(s, t) for s, t in itertools.combinations(settings, 2))
+
+
 def gram_of(a: Direction, b: Direction, c: Direction, d: Direction) -> DotProductConfig:
-    return DotProductConfig(
-        ab=a.dot(b), ac=a.dot(c), ad=a.dot(d), bc=b.dot(c), bd=b.dot(d), cd=c.dot(d)
-    )
+    return DotProductConfig(*pairwise(Direction.dot, (a, b, c, d)))
 
 
 def gram_eigenvalues(config: DotProductConfig) -> np.ndarray:

@@ -22,7 +22,6 @@ maps each id to its kernel and to the state family the id requires.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
@@ -30,7 +29,7 @@ from operator import attrgetter, itemgetter
 import numpy as np
 
 from .errors import NumericsError
-from .geometry import DotProductConfig
+from .geometry import DotProductConfig, pairwise
 
 #: A verdict is "violated" only when margin exceeds this, so roundoff at a
 #: saturated bound never reads as a violation.
@@ -81,7 +80,7 @@ class CorrelationProfile:
         for field in fields(self):
             value = float(getattr(self, field.name))
             object.__setattr__(self, field.name, value)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"profile field {field.name} must be finite, got {value!r}")
             if field.name.startswith("var_") and value < -VARIANCE_TOL:
                 raise ValueError(f"variance {field.name} must be nonnegative, got {value!r}")
@@ -188,8 +187,7 @@ def ghz_correlation_terms(alpha, beta, gamma, delta):
     cos 2(x - y) for each two angles, so E(A,C) = -cos 2(alpha - gamma) and
     E(A,B) = +cos 2(alpha - beta); the variances are 1, as every pair-product
     observable squares to one."""
-    angles = (alpha, beta, gamma, delta)
-    return epr_correlation_terms(*(_ghz_pair(x, y) for x, y in itertools.combinations(angles, 2)))
+    return epr_correlation_terms(*pairwise(_ghz_pair, (alpha, beta, gamma, delta)))
 
 
 # ---------------------------------------------------------------------------

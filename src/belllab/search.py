@@ -1,11 +1,12 @@
 """Derivative-free maximization of inequality margins over measurement parameters.
 
 One table, SPACES, is the only place a search space is described: bounds,
-wrap flags, the state family it models, how its coordinates make the four
-measurement settings a, b, c, d, the pair function of two settings, and the
-lattice symmetries.  Every correlation depends on one pair of settings, so a
-space's correlations are the singlet rule inequalities.epr_correlation_terms
-over its six pair values: E(A,C) = -pair(a, c), E(A,B) = +pair(a, b), ...
+wrap flags, the state family it models, which of its coordinates make each
+of the four measurement settings a, b, c, d (declared as data), the pair
+function of two settings, and the lattice symmetries.  Every correlation
+depends on one pair of settings, so a space's correlations are the singlet
+rule inequalities.epr_correlation_terms over its six pair values, taken in
+geometry.pairwise's order: E(A,C) = -pair(a, c), E(A,B) = +pair(a, b), ...
 
 * planar_epr: four planar angles, one per singlet measurement axis; the pair
   function is cos(x - y), the dot product of two planar unit vectors.
@@ -20,19 +21,21 @@ over its six pair values: E(A,C) = -pair(a, c), E(A,B) = +pair(a, b), ...
 
 Grid search sizes the lattice from integer axis counts before it builds any
 array.  It then calls the pair function once, on an open mesh of the lattice's
-setting values: a pair table of N x N entries on the planar spaces and of
-(P, N, P, N) on vectors3d, for P polar and N azimuth values.  The scan reads a
-lattice point as integer indices into its axes and gathers its six pair values
-from the table.  An entry holds the bits the pair function gives at those two
-settings, since np.cos and np.sin round a value one way whatever the array
-layout (a numpy fact the tests pin), so a reported optimum re-evaluates to
-identical numbers.  The scan runs in blocks of at most BLOCK_SIZE points.  A
-block is an open mesh: the trailing axes whose product fits, plus one chunk of
-the axis before them, each passed as a 1-d index axis shaped by np.ix_, so a
-pair value of two tail axes costs one gather per pair of indices, not one per
-point.  Ties compare the computed float64 margins exactly and go to the
-lexicographically first (smallest linear) lattice index: each block's
-np.argmax is its first maximum, and blocks fold in any order.
+setting values: a raveled S x S table for the lattice's S settings (S = N
+planar, P * N on vectors3d for P polar and N azimuth values: 144 at 22.5
+degrees).  A lattice point's indices ravel into one flat index per setting,
+and pair value s, t is entry s * S + t, one flat gather for the open mesh and
+the kept-orbit images alike.  An entry holds the bits the pair function gives
+at those two settings, since np.cos and np.sin round a value one way whatever
+the array layout (a numpy fact the tests pin), so a reported optimum
+re-evaluates to identical numbers.  The scan runs in blocks of at most
+BLOCK_SIZE points.  A block is an open mesh: the trailing axes whose product
+fits, plus one chunk of the axis before them, each passed as a 1-d index axis
+shaped by np.ix_, so a pair value of two tail axes costs one gather per pair
+of settings, not one per point.  Ties compare the computed float64 margins
+exactly and go to the lexicographically first (smallest linear) lattice
+index: each block's np.argmax is its first maximum, and blocks fold in any
+order.
 
 Kept-orbit pass.  Each space lists its symmetries in SPACES, one per
 coordinate of a setting: index maps i -> (offset + sign * i) mod n applied to
@@ -52,14 +55,13 @@ tests, is that a point's and its image's computed margins differ by at most
 delta = 1e-12 (measured worst case about 2e-14).  The pass scans the box in
 blocks as usual, keeps every box point within 2 delta of the box maximum M,
 and evaluates every non-identity image of the K kept points.  A map moves
-every setting alike, so it permutes the S settings of the pair table (S = N
-on the planar spaces, P * N on vectors3d): each non-identity map of G is one
-row of S flat setting indices, the outer product of its coordinates' index
-images, built once per lattice.  An image's four settings are 1-d takes from
-its map's row at the kept point's flat setting indices, and its six pair
-values 1-d takes from the raveled table, the entries the blocks read; an
-image that ties the best margin has its lattice index read back from its
-four settings.  The images go to the kernel in batches
+every setting alike, so it permutes the S settings of the pair table: each
+non-identity map of G is one row of S flat setting indices, the outer
+product of its coordinates' index images, built once per lattice.  An
+image's four settings are 1-d takes from its map's row at the kept point's
+flat settings, and its six pair values the table's flat gather, the entries
+the blocks read; an image that ties the best margin has its lattice index
+read back from its four settings.  The images go to the kernel in batches
 of whole maps, as many as fit in the table's size (or one map), and each
 batch folds into the maximum as it comes.  This is exact, for every symmetry.  The point
 p* the full scan reports has margin at least M and an image q in the box
@@ -92,6 +94,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inequalities
+from .geometry import pairwise
 from .inequalities import InequalityVerdict, inequality_kernel, make_verdict
 
 #: Most points one grid scan covers, so a scan's run time is bounded before it starts.
@@ -122,22 +125,23 @@ class ParameterSpace:
 
     Wrapped coordinates are periodic with period hi - lo; their lattices and
     refinement probes wrap modulo that period, and clipped coordinates pin to
-    the interval instead.  settings(coords, origin) splits coordinates, angles
-    or lattice indices, into the four settings a, b, c, d, each a tuple of
-    coordinates; origin is a coordinate held at the first value of its axis,
-    0.0 as an angle and 0 as an index.  pair(*s, *t) is the pair function of
-    settings s and t.  symmetries has one entry per coordinate of a setting:
-    symmetries[c](n) gives the (offset, sign) of each non-identity lattice
-    index map i -> (offset + sign * i) mod n of that coordinate, on axes of n
-    points, applied to coordinate c of all four settings at once; the maps
-    keep the correlations on a lattice that closes those axes (module
-    docstring).
+    the interval instead.  settings declares the four settings a, b, c, d: for
+    each, the index of each of its coordinates among the space's, or None for
+    a coordinate held at the origin, where its bounds start, so that angle 0
+    and lattice index 0 name one value (_split reads values through it).  d
+    holds no None, since its axes shape the pair table.  pair(*s, *t) is the
+    pair function of settings s and t.  symmetries has one entry per
+    coordinate of a setting: symmetries[c](n) gives the (offset, sign) of each
+    non-identity lattice index map i -> (offset + sign * i) mod n of that
+    coordinate, on axes of n points, applied to coordinate c of all four
+    settings at once; the maps keep the correlations on a lattice that closes
+    those axes (module docstring).
     """
 
     family: str
     bounds: tuple[tuple[float, float], ...]
     wrap: tuple[bool, ...]
-    settings: Callable
+    settings: tuple[tuple[int | None, ...], ...]
     pair: Callable
     symmetries: tuple[Callable[[int], tuple[tuple[int, int], ...]], ...]
 
@@ -147,23 +151,13 @@ class ParameterSpace:
 
     def correlations(self, coords):
         """The ten profile fields the kernels take, at coordinates given as floats or arrays."""
-        return _correlations(self.pair, self.settings(coords, 0.0))
+        terms = pairwise(lambda s, t: self.pair(*s, *t), _split(self.settings, coords))
+        return inequalities.epr_correlation_terms(*terms)
 
 
-def _correlations(pair, settings):
-    """The singlet rule over pair of each two of the four settings: ab, ac, ad, bc, bd, cd."""
-    pairs = (pair(*s, *t) for s, t in itertools.combinations(settings, 2))
-    return inequalities.epr_correlation_terms(*pairs)
-
-
-def _planar_settings(coords, origin):
-    return tuple((x,) for x in coords)
-
-
-def _spherical_settings(coords, origin):
-    theta_a, theta_b, phi_b, theta_c, phi_c, theta_d, phi_d = coords
-    # vector a lies in the x-z plane, at the first azimuth of the lattice
-    return (theta_a, origin), (theta_b, phi_b), (theta_c, phi_c), (theta_d, phi_d)
+def _split(settings, values):
+    """values, angles or lattice indices, as the four declared settings, with 0 at each None."""
+    return tuple([tuple([0 if j is None else values[j] for j in setting]) for setting in settings])
 
 
 def _planar_dot(x, y):
@@ -183,21 +177,24 @@ def _spherical_dot(theta_1, phi_1, theta_2, phi_2):
 _POLAR = (0.0, math.pi)
 _AZIMUTH = (0.0, 2.0 * math.pi)
 
+_PLANAR_SETTINGS = ((0,), (1,), (2,), (3,))
+
 # every angle shifted by the same number of lattice steps
 _ROTATIONS = (lambda n: tuple((s, 1) for s in range(1, n)),)
 
 SPACES = {
     "planar_epr": ParameterSpace(
-        "epr", (_AZIMUTH,) * 4, (True,) * 4, _planar_settings, _planar_dot, _ROTATIONS
+        "epr", (_AZIMUTH,) * 4, (True,) * 4, _PLANAR_SETTINGS, _planar_dot, _ROTATIONS
     ),
     "ghz_angles": ParameterSpace(
-        "ghz", (_POLAR,) * 4, (True,) * 4, _planar_settings, inequalities._ghz_pair, _ROTATIONS
+        "ghz", (_POLAR,) * 4, (True,) * 4, _PLANAR_SETTINGS, inequalities._ghz_pair, _ROTATIONS
     ),
     "vectors3d": ParameterSpace(
         "epr",
         (_POLAR, _POLAR, _AZIMUTH, _POLAR, _AZIMUTH, _POLAR, _AZIMUTH),
         (False, False, True, False, True, False, True),
-        _spherical_settings,
+        # vector a lies in the x-z plane, at the first azimuth of the lattice
+        ((0, None), (1, 2), (3, 4), (5, 6)),
         _spherical_dot,
         (
             lambda n: ((n - 1, -1),),  # z -> -z: theta -> pi - theta
@@ -243,15 +240,15 @@ def evaluate_point(inequality_id: str, space: ParameterSpace, coords) -> Inequal
 # Grid search.
 
 
-def _open_mesh_blocks(kernel, space, axes):
+def _open_mesh_blocks(kernel, table, axes):
     """(positions, margins) of each open-mesh block, in lexicographic order.
 
-    space is anything with the correlations of a ParameterSpace, taking the
-    values of axes: a space on angle axes, or a _PairTable on index axes.  A
-    block's tail is the trailing axes whose product fits in BLOCK_SIZE plus
-    one chunk of the axis before them; blocks run over the leading (head) axes,
-    then the chunk starts.  positions is the range of linear indices, in the
-    lattice the axes span, that the flattened margins cover.
+    axes are lattice index axes, and a block's correlations are the table's at
+    the flat settings of its open mesh.  A block's tail is the trailing axes
+    whose product fits in BLOCK_SIZE plus one chunk of the axis before them;
+    blocks run over the leading (head) axes, then the chunk starts.  positions
+    is the range of linear indices, in the lattice the axes span, that the
+    flattened margins cover.
     """
     cut = len(axes) - 1
     inner = 1
@@ -263,36 +260,39 @@ def _open_mesh_blocks(kernel, space, axes):
     for *head, start in itertools.product(*axes[:cut], range(0, len(axes[cut]), chunk)):
         tail_axes = [axes[cut][start : start + chunk], *axes[cut + 1 :]]
         tail_shape = tuple(len(axis) for axis in tail_axes)
-        lhs, rhs = kernel(*space.correlations((*head, *np.ix_(*tail_axes))))
-        margin = np.broadcast_to(lhs - rhs, tail_shape)
+        settings = table.flat_settings((*head, *np.ix_(*tail_axes)))
+        # lhs and rhs are freed once the margins exist, so only the margins outlive the block
+        margin = np.broadcast_to(np.subtract(*kernel(*table.correlations(settings))), tail_shape)
         yield range(first, first + margin.size), margin
         first += margin.size
 
 
 class _PairTable:
-    """A space's pair function at every two settings of a lattice, read at lattice indices.
+    """A space's pair function at every two settings of a lattice, read at flat settings.
 
-    values[s + t] is space.pair(*s, *t) for settings s and t given as indices
-    into the axes, from one call of the pair function on their open mesh.
-    Every setting ranges over the axes of the last one, d, whose lengths are
-    shape; a setting's flat index is its indices raveled over shape.  The
-    lattice's axis lengths are sizes.
+    Every setting ranges over the axes of d, whose lengths are shape; its flat
+    index ravels its lattice indices over shape, one of S = prod(shape).
+    values[s * S + t] is space.pair(*s, *t) for flat settings s and t, from one
+    pair-function call on the open mesh of d's axes; sizes are the lattice's
+    axis lengths.
     """
 
     def __init__(self, space: ParameterSpace, axes):
         self.settings = space.settings
-        *_, last = space.settings(axes, None)
-        self.values = space.pair(*np.ix_(*last, *last))
+        last = [axes[j] for j in space.settings[-1]]
+        self.values = space.pair(*np.ix_(*last, *last)).reshape(-1)
         self.shape = tuple(len(axis) for axis in last)
         self.sizes = tuple(len(axis) for axis in axes)
 
-    def correlations(self, indices):
-        """ParameterSpace.correlations at lattice indices, each pair value gathered from the table."""
-        return _correlations(lambda *pair: self.values[pair], self.settings(indices, 0))
+    def correlations(self, settings):
+        """ParameterSpace.correlations at four flat settings: pair value s, t is values[s * S + t]."""
+        values, count = self.values, math.prod(self.shape)
+        terms = pairwise(lambda s, t: values.take(s * count + t), settings)
+        return inequalities.epr_correlation_terms(*terms)
 
     def flat_settings(self, indices):
         """The flat index of each of the four settings at lattice indices."""
-        return tuple(np.ravel_multi_index(s, self.shape) for s in self.settings(indices, 0))
+        return tuple(np.ravel_multi_index(s, self.shape) for s in _split(self.settings, indices))
 
     def lattice_index(self, settings):
         """The linear lattice index of points given by their four flat settings.
@@ -301,23 +301,11 @@ class _PairTable:
         each of its indices goes to the axis the setting holds it on.
         """
         index = [0] * len(self.sizes)
-        owners = self.settings(tuple(range(len(self.sizes))), None)
-        for flat, axes in zip(settings, owners):
+        for flat, axes in zip(settings, self.settings):
             for axis, i in zip(axes, np.unravel_index(flat, self.shape)):
                 if axis is not None:  # the origin holds index 0
                     index[axis] = i
         return np.ravel_multi_index(index, self.sizes)
-
-    def image_correlations(self, rows, settings):
-        """correlations at the images of four flat settings under each map row, row after row.
-
-        rows are rows of _orbits.  An image's pair value s, t is entry
-        s * S + t of the raveled table, S the count of settings, which is
-        values[s + t] of the settings' indices: the bits correlations reads.
-        """
-        flat, count = self.values.reshape(-1), rows.shape[1]
-        moved = ((rows.take(s, axis=1).reshape(-1),) for s in settings)
-        return _correlations(lambda s, t: flat.take(s * count + t), moved)
 
 
 @functools.lru_cache(maxsize=64)
@@ -337,7 +325,7 @@ def _orbits(settings, symmetries, sizes, closing):
     """
     box = list(sizes)
     rows = np.zeros((1, 1), dtype=np.intp)
-    for maps, owners in zip(symmetries, zip(*settings(tuple(range(len(sizes))), None))):
+    for maps, owners in zip(symmetries, zip(*settings)):
         axes = [axis for axis in owners if axis is not None]
         n = sizes[axes[0]]
         own = np.array(((0, 1), *maps(n)))
@@ -451,7 +439,7 @@ def _lattice_maximum(kernel, table, sizes, orbits):
     batch = max(1, table.values.size // kept.size)
     for start in range(0, len(rows), batch):
         moved = rows[start : start + batch]
-        lhs, rhs = kernel(*table.image_correlations(moved, settings))
+        lhs, rhs = kernel(*table.correlations([moved.take(s, axis=1).ravel() for s in settings]))
         images = (lhs - rhs).reshape(len(moved), kept.size)  # row g: map start + g's margins
         if not np.abs(images - kept_margins).max() <= _SHIFT_DELTA / 8.0:
             return _scan_outside(kernel, table, sizes, box, best)

@@ -610,11 +610,35 @@ def test_lhv_check_refuses_draws_it_cannot_make(capsys):
          f"--models must be at most {MAX_CHECK_MODELS}, got {MAX_CHECK_MODELS + 1}"),
         (["--models", "1000000000000000"],
          f"--models must be at most {MAX_CHECK_MODELS}, got 1000000000000000"),
+        # a run of about 146 days at 126 ms per million-point model
+        (["--models", str(MAX_CHECK_MODELS), "--points", "1000000"],
+         f"--models times --points must be at most {8 * MAX_CHECK_MODELS}, "
+         f"got {MAX_CHECK_MODELS} x 1000000"),
+        (["--models", "801", "--points", "1000000"],
+         f"--models times --points must be at most {8 * MAX_CHECK_MODELS}, got 801 x 1000000"),
+        (["--models", str(MAX_CHECK_MODELS), "--points", "9"],
+         f"--models times --points must be at most {8 * MAX_CHECK_MODELS}, "
+         f"got {MAX_CHECK_MODELS} x 9"),
     ]:
         code, out, err = run(capsys, "lhv-check", "--models", "2", *argv)
         assert code == 1, argv
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+def test_lhv_check_runs_up_to_its_cost_cap(capsys, monkeypatch):
+    # at the cap itself the run starts; the run is stubbed, so no model is drawn
+    runs = []
+
+    def stub(first_seed, count, n_points, bound, tolerance):
+        runs.append((count, n_points))
+        return 0.0, first_seed, 0
+
+    monkeypatch.setattr(cli, "check_general_bound", stub)
+    for models, points in ((MAX_CHECK_MODELS, 8), (800, 1000000)):
+        code, _, err = run(capsys, "lhv-check", "--models", str(models), "--points", str(points))
+        assert (code, err) == (0, "")
+    assert runs == [(MAX_CHECK_MODELS, 8), (800, 1000000)]
 
 
 def test_lhv_check_failure_exits_two(capsys, monkeypatch):

@@ -46,8 +46,11 @@ def test_profile_casts_to_float():
 
 
 def test_profile_rejects_non_finite():
-    with pytest.raises(ValueError):
-        CorrelationProfile(math.nan, 0, 0, 0, 0, 0, 1, 1, 1, 1)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="e_ac must be finite"):
+            CorrelationProfile(value, 0, 0, 0, 0, 0, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="var_d must be finite"):
+            CorrelationProfile(0, 0, 0, 0, 0, 0, 1, 1, 1, value)
 
 
 def test_profile_rejects_negative_variance():

@@ -392,18 +392,36 @@ def test_the_pair_table_holds_the_bits_the_correlations_compute(kind, degrees):
     space = SPACES[kind]
     axes = _lattice_axes(space, math.radians(degrees))
     table = search._PairTable(space, axes)
-    owners = space.settings(tuple(range(space.n_coords)), None)
     for field, pair in enumerate(FIELD_PAIRS):
-        varied = {j for setting in pair for j in owners[setting] if j is not None}
+        varied = {j for setting in pair for j in space.settings[setting] if j is not None}
         indices = [np.arange(len(axis) if j in varied else 1) for j, axis in enumerate(axes)]
         dense = np.meshgrid(*indices, indexing="ij")
         expected = space.correlations(tuple(axis[i] for axis, i in zip(axes, dense)))[field]
         expected = expected.view(np.int64)
-        open_mesh = np.broadcast_to(table.correlations(np.ix_(*indices))[field], expected.shape)
+        open_mesh = table.correlations(table.flat_settings(np.ix_(*indices)))[field]
+        open_mesh = np.broadcast_to(open_mesh, expected.shape)
         assert np.array_equal(open_mesh.view(np.int64), expected), (field, "open mesh")
         reversed_flat = tuple(np.ascontiguousarray(i.ravel()[::-1]) for i in dense)
-        gathered = table.correlations(reversed_flat)[field][::-1]
+        gathered = table.correlations(table.flat_settings(reversed_flat))[field][::-1]
         assert np.array_equal(gathered.view(np.int64), expected.ravel()), (field, "flat gather")
+
+
+@pytest.mark.parametrize("kind", SPACE_KINDS)
+def test_each_settings_declaration_meets_its_premises(kind):
+    # the pair table ranges every setting over d's axes, and _split fills 0 at
+    # None, so the declaration must name each coordinate once, give d all of
+    # its coordinates, and put None only where angle 0 is index 0
+    space = SPACES[kind]
+    *_, d = space.settings
+    assert len(space.settings) == 4 and all(len(s) == len(d) for s in space.settings)
+    declared = [j for setting in space.settings for j in setting if j is not None]
+    assert sorted(declared) == list(range(space.n_coords))
+    assert None not in d
+    for owners in zip(*space.settings):  # one coordinate of every setting
+        axes = [j for j in owners if j is not None]
+        assert len({(space.bounds[j], space.wrap[j]) for j in axes}) == 1
+        if None in owners:
+            assert space.bounds[axes[0]][0] == 0.0
 
 
 def _lattice_axes(space, resolution):
@@ -447,13 +465,12 @@ def test_the_map_rows_gather_the_images_correlations_bit_for_bit(kind, degrees):
     # a tied image's lattice index is read back from its flat settings
     indices = np.ravel_multi_index(tuple(points.T), sizes)
     assert np.array_equal(table.lattice_index(settings), indices)
-    batched = table.image_correlations(rows, settings)
     for g, (offset, sign) in enumerate(maps):
         image = (offset + sign * points) % np.array(sizes)
-        expected = table.correlations(tuple(image.T))
-        for field, (got, want) in enumerate(zip(batched[:6], expected[:6])):
-            got = got.reshape(len(rows), len(points))[g]
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (g, field)
+        expected = table.correlations(table.flat_settings(tuple(image.T)))
+        got = table.correlations(tuple(rows[g].take(s) for s in settings))
+        for field, (value, want) in enumerate(zip(got[:6], expected[:6])):
+            assert np.array_equal(value.view(np.int64), want.view(np.int64)), (g, field)
 
 
 @pytest.mark.parametrize("kind", SPACE_KINDS)
@@ -544,15 +561,17 @@ def test_reflection_pass_matches_the_dense_scan_bit_for_bit(monkeypatch, degrees
     box, _ = search._orbits(VECTORS.settings, VECTORS.symmetries, sizes, closing)
     assert box[0] < len(axes[0]) and box[2] < len(axes[2])
 
-    def first_block_axes(lattice_axes):
-        _, margin = next(search._open_mesh_blocks(inequality_kernel("chsh"), VECTORS, lattice_axes))
+    table = search._PairTable(VECTORS, axes)
+
+    def first_block_axes(counts):
+        index_axes = [np.arange(count) for count in counts]
+        _, margin = next(search._open_mesh_blocks(inequality_kernel("chsh"), table, index_axes))
         return margin.ndim
 
     # at cut_block the box's blocks split another axis than the whole lattice's do
     default_block = search.BLOCK_SIZE
     monkeypatch.setattr(search, "BLOCK_SIZE", cut_block)
-    box_axes = [axis[:count] for axis, count in zip(axes, box)]
-    assert first_block_axes(box_axes) != first_block_axes(axes)
+    assert first_block_axes(box) != first_block_axes(sizes)
     scans = {}
     for inequality_id, (kernel, family) in INEQUALITIES.items():
         if family not in (None, VECTORS.family):

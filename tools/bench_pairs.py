@@ -11,16 +11,22 @@ PAIRS runs ``perfbench/run.py --workload NAME --seed FIRST_SEED+k --seconds S
 --trace 0`` once in each tree, S being BENCHMARK.json's run_seconds, each
 tree with its own runner and its own ``src/``; the base runs first in even
 pairs and this tree first in odd ones, so a slow phase of the machine falls
-on both sides alike.  A run that exits non-zero or reports ``correct: false``
-stops the script.
+on both sides alike.  After the pairs of a workload, each tree runs it once
+more with ``--trace 1`` at seed FIRST_SEED, for its per-layer metrics.  A run
+that exits non-zero or reports ``correct: false`` stops the script.
 
 The file written holds, per workload and side, the median, quartiles and
-interquartile range of each gated metric of BENCHMARK.json and the timed-pass
-count of each run; per metric, the number of pairs the change won (ties count
-for neither side); every run's metrics; and the machine: nproc, CPython,
-numpy, the CPU dispatch targets numpy found on this processor, and the
-seconds one fixed numpy loop took before the first pair and after the last,
-which differ when the machine slowed down or sped up during the pairs.
+interquartile range of each gated metric of BENCHMARK.json and of the minor
+page faults of a run, and the timed-pass count of each run; per metric, the
+number of pairs the change won (ties count for neither side); every run's
+metrics and minor page faults; each side's per-layer metrics; and the
+machine: nproc, CPython, numpy, the CPU dispatch targets numpy found on this
+processor, and the seconds one fixed numpy loop took before the first pair
+and after the last, which differ when the machine slowed down or sped up
+during the pairs.  A run's minor page faults are the ``ru_minflt`` of its
+process (and of the processes it waited for), read from
+``getrusage(RUSAGE_CHILDREN)`` around it, so a lattice timing gap can be read
+next to the heap behaviour of the two sides.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import json
 import os
 import platform
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -72,18 +79,20 @@ def calibration_s() -> float:
     return time.perf_counter() - start
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run of tree: {"metrics": {name: value}, "timed_passes": n}."""
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One perfbench run of tree: {"metrics": {name: value}, "timed_passes": n, "minor_faults": n}."""
     argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = done.stdout.splitlines()
     result = json.loads(lines[-1])
     if result["correct"] is not True:
         raise RuntimeError(f"{tree} {workload} seed {seed}: incorrect run\n{done.stdout}")
     passes = int(re.search(r"timed passes=(\d+)", done.stdout).group(1))
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
-    return {"metrics": metrics, "timed_passes": passes}
+    return {"metrics": metrics, "timed_passes": passes, "minor_faults": faults}
 
 
 def spread(values: list[float]) -> dict:
@@ -99,6 +108,7 @@ def summarize(runs: list[dict], gated: list[dict]) -> dict:
             metric["name"]: spread([pair[side]["metrics"][metric["name"]] for pair in runs])
             for metric in gated
         }
+        summary[side]["minor_faults"] = spread([pair[side]["minor_faults"] for pair in runs])
         summary[side]["timed_passes"] = [pair[side]["timed_passes"] for pair in runs]
     wins = {}
     for metric in gated:
@@ -127,7 +137,8 @@ def main(argv=None) -> int:
     report = {
         "base": base_rev,
         "machine": machine(),
-        "settings": {"pairs": PAIRS, "seconds": seconds, "first_seed": FIRST_SEED, "trace": 0},
+        "settings": {"pairs": PAIRS, "seconds": seconds, "first_seed": FIRST_SEED, "trace": 0,
+                     "per_layer_seed": FIRST_SEED},
         "workloads": {},
     }
     before = calibration_s()
@@ -150,7 +161,13 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {pair}: " + ", ".join(
                     f"{side} wall_s {record[side]['metrics']['wall_s']:.4g}" for side in order
                 ), flush=True)
-            report["workloads"][workload] = {**summarize(runs, gated), "runs": runs}
+            per_layer = {
+                side: run(trees[side], workload, FIRST_SEED, seconds, trace=1)["metrics"]
+                for side in ("base", "head")
+            }
+            report["workloads"][workload] = {
+                **summarize(runs, gated), "runs": runs, "per_layer": per_layer
+            }
     report["machine"]["calibration_s"] = {"before": before, "after": calibration_s()}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
