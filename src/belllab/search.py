@@ -53,21 +53,27 @@ reflections), so it holds an image of every lattice point.
 Computed margins are not exactly invariant: the premise, pinned by property
 tests, is that a point's and its image's computed margins differ by at most
 delta = 1e-12 (measured worst case about 2e-14).  The pass scans the box in
-blocks as usual, keeps every box point within 2 delta of the box maximum M,
-and evaluates every non-identity image of the K kept points.  A map moves
-every setting alike, so it permutes the S settings of the pair table: each
-non-identity map of G is one row of S flat setting indices, the outer
-product of its coordinates' index images, built once per lattice.  An
-image's four settings are 1-d takes from its map's row at the kept point's
-flat settings, and its six pair values the table's flat gather, the entries
-the blocks read; an image that ties the best margin has its lattice index
-read back from its four settings.  The images go to the kernel in batches
-of whole maps, as many as fit in the table's size (or one map), and each
-batch folds into the maximum as it comes.  This is exact, for every symmetry.  The point
-p* the full scan reports has margin at least M and an image q in the box
-with margin at least M - delta, so q is kept and every image of q, p* among
-them, is evaluated.  A point whose box image was not kept has margin below
-M - delta, so it neither beats nor ties p*.  The largest margin, and of equal
+blocks as usual and keeps every box point within 2 delta of the box maximum
+so far, dropping kept points as that maximum rises; once a slice's worth is
+kept, it evaluates every non-identity image of those points and drops them,
+and after the last block it images the rest, so it never holds all K points
+that end within 2 delta of the box maximum M.  A slice is the pair table's
+size, or BLOCK_SIZE / 16 where that is more.  A map moves every setting
+alike, so it permutes the S settings of the pair table: each non-identity
+map of G is one row of S flat setting indices, the outer product of its
+coordinates' index images, built once per lattice.  An image's four
+settings are 1-d takes from its map's row at the kept point's flat
+settings, and its six pair values the table's flat gather, the entries the
+blocks read; an image that ties the best margin has its lattice index read
+back from its four settings.  The images go to the kernel in batches of
+whole maps, as many as fit in the table's size (or one map), and each batch
+folds into the maximum as it comes.  This is exact, for every symmetry.
+The point p* the full scan reports has margin at least M and an image q in
+the box with margin at least M - delta.  The maximum so far never exceeds M,
+so q is kept until its images are evaluated, p* among them.  A point whose
+box image was not kept has margin below M - delta, so it neither beats nor
+ties p*.  Points imaged before the maximum rose are lattice points too, with
+the margins the blocks would compute.  The largest margin, and of equal
 ones the smallest linear index, is therefore the full scan's answer, whatever
 order the points come in.
 
@@ -76,11 +82,12 @@ setting's coordinate without the others'.  Three premises are checked, and
 the result is the full scan's either way.  Where the map rows are built, a
 symmetry applies only if each of its maps keeps index 0 where a setting
 holds its coordinate at the origin (a's azimuth on vectors3d); a lattice on
-which no symmetry applies takes the plain scan.  During the box, K must meet
-the cost rule of _orbit_limit, and in each batch no image may differ from
-its kept point by more than delta / 8; a failure of either hands whatever
-the pass has not covered to the plain scan.  SearchResult.evaluations counts
-the whole lattice either way.
+which no symmetry applies takes the plain scan.  During the box, the points
+imaged and kept must meet the cost rule of _orbit_limit, and in each batch
+no image may differ from its kept point by more than delta / 8.  A failure
+of either, at any block, hands the rest of the box and then the lattice
+outside it to the plain scan.  SearchResult.evaluations counts the whole
+lattice either way.
 """
 
 from __future__ import annotations
@@ -128,9 +135,10 @@ class ParameterSpace:
     the interval instead.  settings declares the four settings a, b, c, d: for
     each, the index of each of its coordinates among the space's, or None for
     a coordinate held at the origin, where its bounds start, so that angle 0
-    and lattice index 0 name one value (_split reads values through it).  d
-    holds no None, since its axes shape the pair table.  pair(*s, *t) is the
-    pair function of settings s and t.  symmetries has one entry per
+    and lattice index 0 name one value (correlations gives angle 0.0 there,
+    and _PairTable.flat_settings index 0).  d holds no None, since its axes
+    shape the pair table.  pair(*s, *t) is the pair function of settings s
+    and t.  symmetries has one entry per
     coordinate of a setting: symmetries[c](n) gives the (offset, sign) of each
     non-identity lattice index map i -> (offset + sign * i) mod n of that
     coordinate, on axes of n points, applied to coordinate c of all four
@@ -151,13 +159,10 @@ class ParameterSpace:
 
     def correlations(self, coords):
         """The ten profile fields the kernels take, at coordinates given as floats or arrays."""
-        terms = pairwise(lambda s, t: self.pair(*s, *t), _split(self.settings, coords))
+        # the float 0.0 at the origin: np.cos and np.sin take an int through numpy's slower path
+        settings = [[0.0 if j is None else coords[j] for j in s] for s in self.settings]
+        terms = pairwise(lambda s, t: self.pair(*s, *t), settings)
         return inequalities.epr_correlation_terms(*terms)
-
-
-def _split(settings, values):
-    """values, angles or lattice indices, as the four declared settings, with 0 at each None."""
-    return tuple([tuple([0 if j is None else values[j] for j in setting]) for setting in settings])
 
 
 def _planar_dot(x, y):
@@ -291,8 +296,11 @@ class _PairTable:
         return inequalities.epr_correlation_terms(*terms)
 
     def flat_settings(self, indices):
-        """The flat index of each of the four settings at lattice indices."""
-        return tuple(np.ravel_multi_index(s, self.shape) for s in _split(self.settings, indices))
+        """The flat index of each of the four settings at lattice indices, index 0 at None."""
+        return tuple(
+            np.ravel_multi_index([0 if j is None else indices[j] for j in s], self.shape)
+            for s in self.settings
+        )
 
     def lattice_index(self, settings):
         """The linear lattice index of points given by their four flat settings.
@@ -345,23 +353,16 @@ def _orbits(settings, symmetries, sizes, closing):
 
 
 def _orbit_limit(sizes, box, maps: int) -> int:
-    """Most points the pass may keep; beyond it the plain scan covers the rest.
+    """Most points the pass may image; beyond it the plain scan covers the rest.
 
     The kept points' images may cost no more than the points outside the box
     that they spare.  An image gathers its six pair values through the map
     rows of _orbits and costs about 4 open-mesh points: 21-22 ns
     against 6 ns on the planar 5 degree and ghz 2.5 degree general scans, 27
     against 10 ns at planar 10 degrees (2 CPUs, CPython 3.11, numpy 2.4).
-    And K stays at most BLOCK_SIZE / 4, or N**2 where that is more, N the
-    longest axis, so the kept indices and margins take no more memory than
-    half a block's margins; a batch holds the images of one map, or of as
-    many maps as fit in the pair table's size.  Past that cap a batch leaves
-    the cache: the vectors3d 22.5 degree general scan (K = 540 830) took
-    about 95 ns per image, and its pass was slower than the plain scan.
     """
-    longest = max(sizes)
     outside = math.prod(sizes) - math.prod(box)
-    return min(outside // (4 * maps), max(longest**2, BLOCK_SIZE // 4))
+    return outside // (4 * maps)
 
 
 def _block_top(positions, margin, shape, starts, sizes):
@@ -414,9 +415,14 @@ def _lattice_maximum(kernel, table, sizes, orbits):
     box, rows = orbits
 
     limit = _orbit_limit(sizes, box, len(rows))
+    # a slice: a pair table's worth of kept points, one map's images per kernel call,
+    # and at least a sixteenth of a block, so the small planar and ghz tables image
+    # their benchmark scans' K (15 338 at planar 5 degrees) in one slice after the box
+    slice_size = max(table.values.size, BLOCK_SIZE // 16)
     blocks = _open_mesh_blocks(kernel, table, [np.arange(count) for count in box])
     floor = -math.inf
-    kept = []  # (box positions, margins) at or above the floor, one pair per block
+    imaged = 0  # kept points whose images are folded in
+    kept = []  # (box positions, margins) at or above the floor not yet imaged, one pair per block
     for positions, margin in blocks:
         top = _block_top(positions, margin, box, origin, sizes)
         best = max(best, top)
@@ -425,29 +431,59 @@ def _lattice_maximum(kernel, table, sizes, orbits):
             kept = [(p[m >= floor], m[m >= floor]) for p, m in kept]
         if not top[0] >= floor:
             continue  # no point of the block is near the maximum
+        pending = sum(m.size for _, m in kept)
+        if pending >= slice_size:
+            folded = _fold_images(kernel, table, rows, box, kept, slice_size, best)
+            if folded is None:
+                break
+            best, imaged, pending = folded, imaged + pending, 0
         fresh = np.flatnonzero(margin >= floor)
-        if fresh.size + sum(m.size for _, m in kept) > limit:
-            del margin, fresh, kept  # arrays the rest of the scan does not need
-            best = _fold(best, blocks, box, origin, sizes)
-            return _scan_outside(kernel, table, sizes, box, best)
         kept.append((positions.start + fresh, margin.flat[fresh]))
+        del fresh  # freed before the next block: 1.6 MB less peak RSS over the lattice-3d scans
+        if imaged + pending + kept[-1][1].size > limit:
+            break
+    else:
+        folded = _fold_images(kernel, table, rows, box, kept, slice_size, best)
+        if folded is not None:
+            return folded
+    # a premise failed: the plain scan covers the rest of the box and the lattice
+    # outside it, so the images folded in so far are covered again
+    del margin, kept  # arrays the rest of the scan does not need
+    best = _fold(best, blocks, box, origin, sizes)
+    return _scan_outside(kernel, table, sizes, box, best)
 
-    # the box starts at index 0 on every axis, so a box index is a lattice index
-    kept, kept_margins = (np.concatenate(arrays) for arrays in zip(*kept))
-    settings = table.flat_settings(np.unravel_index(kept, box))
-    # batches of maps of at most a table's worth of images (or one map), flat for the kernel
-    batch = max(1, table.values.size // kept.size)
-    for start in range(0, len(rows), batch):
-        moved = rows[start : start + batch]
-        lhs, rhs = kernel(*table.correlations([moved.take(s, axis=1).ravel() for s in settings]))
-        images = (lhs - rhs).reshape(len(moved), kept.size)  # row g: map start + g's margins
-        if not np.abs(images - kept_margins).max() <= _SHIFT_DELTA / 8.0:
-            return _scan_outside(kernel, table, sizes, box, best)
-        top = float(images.max())
-        if top >= best[0]:  # else no image of the batch beats or ties the best
-            maps, ties = np.nonzero(images == top)
-            index = table.lattice_index(tuple(moved[maps, s[ties]] for s in settings))
-            best = max(best, (top, -int(index.min())))
+
+def _fold_images(kernel, table, rows, box, kept, slice_size, best):
+    """best, folded with every map's image of the kept (box positions, margins) pairs.
+
+    kept is emptied first, so only its points' concatenation stays alive.  The
+    points go in slices of slice_size, and a slice's images to the kernel in
+    batches of whole maps, as many as fit in the table's size (or one map).
+    None when an image's margin differs from its kept point's by more than
+    delta / 8.
+    """
+    positions, margins = (np.concatenate(arrays) for arrays in zip(*kept))
+    kept.clear()
+    for first in range(0, positions.size, slice_size):
+        here = slice(first, first + slice_size)
+        points, point_margins = positions[here], margins[here]
+        # the box starts at index 0 on every axis, so a box index is a lattice index
+        settings = table.flat_settings(np.unravel_index(points, box))
+        batch = max(1, table.values.size // points.size)
+        for start in range(0, len(rows), batch):
+            moved = rows[start : start + batch]
+            # each map's images of the slice, flat for the kernel
+            lhs, rhs = kernel(
+                *table.correlations([moved.take(s, axis=1).ravel() for s in settings])
+            )
+            images = (lhs - rhs).reshape(len(moved), points.size)  # row g: map start + g's margins
+            if not np.abs(images - point_margins).max() <= _SHIFT_DELTA / 8.0:
+                return None
+            top = float(images.max())
+            if top >= best[0]:  # else no image of the batch beats or ties the best
+                maps, ties = np.nonzero(images == top)
+                index = table.lattice_index(tuple(moved[maps, s[ties]] for s in settings))
+                best = max(best, (top, -int(index.min())))
     return best
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,9 +409,10 @@ def test_the_pair_table_holds_the_bits_the_correlations_compute(kind, degrees):
 
 @pytest.mark.parametrize("kind", SPACE_KINDS)
 def test_each_settings_declaration_meets_its_premises(kind):
-    # the pair table ranges every setting over d's axes, and _split fills 0 at
-    # None, so the declaration must name each coordinate once, give d all of
-    # its coordinates, and put None only where angle 0 is index 0
+    # the pair table ranges every setting over d's axes, and at None
+    # correlations gives angle 0.0 and flat_settings index 0, so the
+    # declaration must name each coordinate once, give d all of its
+    # coordinates, and put None only where angle 0 is index 0
     space = SPACES[kind]
     *_, d = space.settings
     assert len(space.settings) == 4 and all(len(s) == len(d) for s in space.settings)
@@ -602,11 +604,11 @@ def test_reflection_pass_evaluates_the_box_and_the_kept_images(kernel_points):
         ends = list(itertools.accumulate(kernel_points))
         # the last call is the reported optimum's evaluate_point
         assert kernel_points[ends.index(box) + 1 : -1] == [kept * 3]
-    # the general bound keeps more points than the cost rule allows, so the
-    # plain scan covers the rest of the box and then the rest of the lattice
+    # the general bound keeps K = 540 830 points, many slices' worth, so their
+    # images are evaluated slice by slice while the box is scanned
     kernel_points.clear()
     grid_search("general", VECTORS, resolution)
-    assert sum(kernel_points) - 1 == total
+    assert sum(kernel_points) - 1 == box + 540830 * 3
 
 
 def test_an_image_beyond_delta_over_8_hands_the_rest_to_the_plain_scan(monkeypatch):
@@ -635,6 +637,74 @@ def test_an_image_beyond_delta_over_8_hands_the_rest_to_the_plain_scan(monkeypat
     box = expected.evaluations // (5 * 8) * 3 * 5
     assert evaluated[:2] == [box, 64 * 3]
     assert sum(evaluated[2:-1]) == expected.evaluations - box
+
+
+# kernel calls of images: the first slice's three maps, then the second
+# slice's first map (tripwire) or all three (cost rule)
+@pytest.mark.parametrize("failure, image_calls", [("tripwire", 4), ("cost rule", 6)])
+def test_a_premise_failing_after_a_mid_box_slice_hands_the_rest_to_the_plain_scan(
+    monkeypatch, failure, image_calls
+):
+    # with blocks of 4096 points the 36 degree general scan images its kept
+    # points in slices of the pair table's 60 * 60 = 3600 entries while it
+    # scans the box, one map per kernel call; then either the first image of
+    # the second slice is offset past delta / 8, or the cost rule admits the
+    # two slices and one point more
+    resolution = math.radians(36.0)
+    coords, total = _dense_scan(inequality_kernel("general"), VECTORS, resolution)
+    box = total // (6 * 10) * 3 * 6  # theta_a <= 90 and phi_b <= 180 degrees
+    monkeypatch.setattr(search, "BLOCK_SIZE", 4096)
+    expected = grid_search("general", VECTORS, resolution)
+    dense = (coords, evaluate_point("general", VECTORS, coords), total)
+    assert (expected.best_params, expected.best_verdict, expected.evaluations) == dense
+    calls = []  # (ndim, points) of every kernel call
+
+    def offset_kernel(inequality_id, family=None):
+        kernel = inequality_kernel(inequality_id, family)
+
+        def offset(*terms):
+            lhs, rhs = kernel(*terms)
+            calls.append((np.ndim(lhs), np.size(lhs)))
+            first_of_second_slice = [dim for dim, _ in calls].count(1) == 4
+            if failure == "tripwire" and calls[-1][0] == 1 and first_of_second_slice:
+                lhs = lhs.copy()
+                lhs[0] += search._SHIFT_DELTA / 4.0
+            return lhs, rhs
+
+        return offset
+
+    monkeypatch.setattr(search, "inequality_kernel", offset_kernel)
+    if failure == "cost rule":
+        monkeypatch.setattr(search, "_orbit_limit", lambda sizes, box, maps: 2 * 3600 + 1)
+    assert grid_search("general", VECTORS, resolution) == expected
+    images = [k for k, (dim, _) in enumerate(calls) if dim == 1]
+    assert [calls[k][1] for k in images] == [3600] * image_calls
+    # the pass stopped partway through the box; the open-mesh blocks then
+    # cover the rest of the box and the lattice outside it
+    assert sum(size for dim, size in calls[: images[-1]] if dim > 1) < box
+    assert sum(size for dim, size in calls if dim > 1) == total
+
+
+def test_the_reflection_pass_holds_at_most_a_block_of_kept_points_beyond_the_plain_scan(
+    monkeypatch,
+):
+    # the general bound keeps K = 540 830 points at 22.5 degrees, and the pass
+    # images them slice by slice during the box instead of holding them all:
+    # its traced peak stays within the plain scan's plus one block's kept
+    # points, a position and a margin of 8 bytes each
+    resolution = math.radians(22.5)
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            grid_search("general", VECTORS, resolution)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kept_orbits = traced_peak()
+    monkeypatch.setattr(search, "_orbits", lambda *args: None)
+    assert kept_orbits <= traced_peak() + 16 * search.BLOCK_SIZE
 
 
 def test_grid_lex_smallest_tie_break():
