@@ -14,6 +14,17 @@ and the dispersion-free form is its zero-variance specialization
 
     combination^2 + 4 E(A,B) E(C,D) <= 0.
 
+On singlet-rule profiles of unit vectors a, b, c, d (E(A,C) = -a.c, ...,
+E(A,B) = +a.b, E(C,D) = +c.d, every variance 1) the combination is
+-(a - b).(c + d), and |a - b|^2 = 2 - 2 E(A,B), |c + d|^2 = 2 + 2 E(C,D).  So
+the dispersion-free lhs is at most (2 - 2 E(A,B)) (2 + 2 E(C,D)) +
+4 E(A,B) E(C,D) = 4 - 4 E(A,B) + 4 E(C,D) <= 8 - 4 E(A,B), whose supremum
+is 12 at E(A,B) = -1.  The CHSH lhs is |c.(a + b) + d.(a - b)| <= |a + b| +
+|a - b| = sqrt(2 + 2 E(A,B)) + sqrt(2 - 2 E(A,B)), whose supremum is the
+Tsirelson value 2 sqrt 2 at E(A,B) = 0.  Each of these two kernels has its
+bound on the margin, a function of E(A,B) alone, next to it, and
+_PAIR_BOUNDS maps the kernel to it; the general form has none.
+
 The term kernels take the ten profile fields, scalars or numpy arrays, so
 searches evaluate whole lattices in one shot with identical arithmetic.  The
 INEQUALITIES registry is the one place an inequality id is interpreted: it
@@ -161,6 +172,14 @@ def dispersion_free_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a, var_b, var_
     return lhs, combination * combination * 0.0
 
 
+def _dispersion_free_bound(e_ab):
+    """8 - 4 E(A,B): the dispersion-free margin's bound on singlet-rule profiles of unit vectors.
+
+    E(A,B) is clipped to [-1, 1], where a rounded dot product may fall just outside.
+    """
+    return 8.0 - 4.0 * np.clip(e_ab, -1.0, 1.0)
+
+
 def chsh_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a, var_b, var_c, var_d):
     """CHSH with the +++- sign convention: |eAC + eAD + eBC - eBD| against 2.
 
@@ -169,6 +188,13 @@ def chsh_terms(e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, var_a, var_b, var_c, var_d):
     """
     lhs = abs(e_ac + e_ad + e_bc - e_bd)
     return lhs, lhs * 0.0 + 2.0
+
+
+def _chsh_bound(e_ab):
+    """sqrt(2 + 2 E(A,B)) + sqrt(2 - 2 E(A,B)) - 2: the CHSH margin's bound on singlet-rule
+    profiles of unit vectors, E(A,B) clipped to [-1, 1] so that no root is of a negative."""
+    e_ab = np.clip(e_ab, -1.0, 1.0)
+    return np.sqrt(2.0 + 2.0 * e_ab) + np.sqrt(2.0 - 2.0 * e_ab) - 2.0
 
 
 def epr_correlation_terms(ab, ac, ad, bc, bd, cd):
@@ -206,6 +232,9 @@ INEQUALITIES = {
 }
 
 INEQUALITY_IDS = tuple(INEQUALITIES)
+
+# term kernel -> its margin's bound at E(A,B) on singlet-rule profiles of unit vectors
+_PAIR_BOUNDS = {dispersion_free_terms: _dispersion_free_bound, chsh_terms: _chsh_bound}
 
 
 def inequality_kernel(inequality_id: str, family: str | None = None):

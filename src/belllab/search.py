@@ -88,6 +88,42 @@ no image may differ from its kept point by more than delta / 8.  A failure
 of either, at any block, hands the rest of the box and then the lattice
 outside it to the plain scan.  SearchResult.evaluations counts the whole
 lattice either way.
+
+Bound skip.  Every space's pair function is the dot product of two unit
+vectors (on ghz_angles at the doubled angles), so under the singlet rule the
+dispersion-free and CHSH margins are at most a function of E(A,B) alone,
+each kernel's bound in inequalities: 8 - 4 E(A,B), and sqrt(2 + 2 E(A,B)) +
+sqrt(2 - 2 E(A,B)) - 2.  a and b's coordinates are the leading axes, so a
+head, one index on each of them, fixes E(A,B) for the whole (c, d) tail
+after it.  A scan with a bound, the plain scan and the kept-orbit box alike,
+takes its heads in descending bound + epsilon, in groups of 1, 2, 4, ...
+within a block, and stops before a group whose first bound + epsilon is below
+the best margin so far; in the box, below the floor, the box maximum so far
+less 2 delta.  Every point of a skipped head has a margin below that, so it
+neither beats nor ties the best, and in the box it would not have been kept:
+the kept points, their images and the result are the full scan's.  A
+group's heads go in ascending order, so a block's first maximum is still
+its least index.  general has no bound and keeps the blocks above.
+
+epsilon bounds how far a computed margin may exceed the computed bound at its
+computed E(A,B).  Let u = 2^-53, and take np.sin and np.cos within 4 ulp.  A
+table entry is then within eta = 2^-46 = 128 u of the exact dot product of
+the unit vectors at its two settings' angles: 8 u from the trig, 2 pi u from
+the rounded angle difference on the planar spaces, and at most 108 u through
+the products and sums of _spherical_dot.  At the exact dot products the
+margin obeys its bound.  The computed margin exceeds the exact one at the
+table's entries by at most the kernel's rounding, under 140 u with every
+|E| <= 1 + eta, and that in turn the margin at the exact dot products by at
+most L eta: L = 40 for dispersion_free (2 |combination| <= 8 on each of four
+terms, 8 on the E(A,B) E(C,D) term) and 4 for CHSH.  Clipping E(A,B) to
+[-1, 1] moves it no further from the exact dot product, which lies there, so
+the bound at the clipped value is below the bound at the exact one by at
+most 4 eta (dispersion_free) or, sqrt being 1/2-Hoelder, 2 sqrt(2 eta) =
+3.4e-7 (CHSH, near E(A,B) = +-1), plus its own rounding of a few u.  The
+largest sum, CHSH's 3.4e-7 + 4 eta + 150 u, is below epsilon = 1e-6 by a
+factor of about 3.  The premise is checked where it is used: a block row
+above its head's bound + epsilon hands the whole lattice to the plain scan
+without the bound.
 """
 
 from __future__ import annotations
@@ -124,6 +160,10 @@ MAX_SWEEP_STEPS = 1_000_000
 # delta of the kept-orbit pass: a bound on |computed margin(p) - computed
 # margin(g p)| for a symmetry map g of a closing lattice, which keeps the pass exact
 _SHIFT_DELTA = 1e-12
+
+# epsilon of the bound skip: a bound on how far a computed margin may exceed its
+# kernel's bound at the computed E(A,B) (module docstring)
+_BOUND_EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
@@ -245,31 +285,71 @@ def evaluate_point(inequality_id: str, space: ParameterSpace, coords) -> Inequal
 # Grid search.
 
 
-def _open_mesh_blocks(kernel, table, axes):
-    """(positions, margins) of each open-mesh block, in lexicographic order.
+def _open_mesh_blocks(kernel, table, axes, bound=None, floor=-math.inf, slack=0.0):
+    """(rows, margins) of each open-mesh block the scan evaluates.
 
     axes are lattice index axes, and a block's correlations are the table's at
-    the flat settings of its open mesh.  A block's tail is the trailing axes
-    whose product fits in BLOCK_SIZE plus one chunk of the axis before them;
-    blocks run over the leading (head) axes, then the chunk starts.  positions
-    is the range of linear indices, in the lattice the axes span, that the
-    flattened margins cover.
+    the flat settings of its open mesh.  Row r of a block's margins covers the
+    linear indices, in the lattice the axes span, from rows[r] on; rows ascend.
+    A block's tail is the trailing axes whose product fits in BLOCK_SIZE plus
+    one chunk of the axis before them.  Without a bound, blocks run over the
+    leading axes, then the chunk starts, in lexicographic order, one row each.
+    With a bound (the module docstring), the leading table.heads axes are a
+    and b's, and their heads go in descending bound + epsilon, ties
+    lexicographic: in groups of 1, 2, 4, ... heads, doubling while a group's
+    tails fit in BLOCK_SIZE, a group's heads in ascending order, one row each,
+    the whole tail in one block; or, with the tail over BLOCK_SIZE, one head
+    at a time, over the tail's blocks.  The blocks stop before a group whose
+    bound + epsilon is below floor, which rises to each block's maximum less
+    slack; a block row above its head's bound + epsilon raises _BoundFailure.
     """
-    cut = len(axes) - 1
+    heads = 0 if bound is None else table.heads
+    tail_axes = axes[heads:]
+    cut = len(tail_axes) - 1
     inner = 1
-    while cut > 0 and inner * len(axes[cut]) <= BLOCK_SIZE:
-        inner *= len(axes[cut])
+    while cut > 0 and inner * len(tail_axes[cut]) <= BLOCK_SIZE:
+        inner *= len(tail_axes[cut])
         cut -= 1
     chunk = BLOCK_SIZE // inner
-    first = 0
-    for *head, start in itertools.product(*axes[:cut], range(0, len(axes[cut]), chunk)):
-        tail_axes = [axes[cut][start : start + chunk], *axes[cut + 1 :]]
-        tail_shape = tuple(len(axis) for axis in tail_axes)
-        settings = table.flat_settings((*head, *np.ix_(*tail_axes)))
-        # lhs and rhs are freed once the margins exist, so only the margins outlive the block
-        margin = np.broadcast_to(np.subtract(*kernel(*table.correlations(settings))), tail_shape)
-        yield range(first, first + margin.size), margin
-        first += margin.size
+    tail = math.prod(len(axis) for axis in tail_axes)
+    if bound is None:
+        order, limits, indices = np.zeros(1, dtype=np.intp), None, []
+    else:
+        head_shape = tuple(len(axis) for axis in axes[:heads])
+        lexicographic = np.unravel_index(np.arange(math.prod(head_shape)), head_shape)
+        indices = [axis[i] for axis, i in zip(axes, lexicographic)]
+        # E(A,B) of every head: c and d's indices, held at 0, do not enter it
+        e_ab = table.correlations(table.flat_settings(indices + [0] * len(tail_axes)))[4]
+        limits = bound(e_ab) + _BOUND_EPSILON
+        order = np.argsort(-limits, kind="stable")
+    first, size = 0, 1
+    while first < order.size:
+        if limits is not None and limits[order[first]] < floor:
+            return  # no point of this or a later head beats or ties the best, or is kept
+        group = np.sort(order[first : first + size])
+        first += size
+        if 2 * size * tail <= BLOCK_SIZE:
+            size *= 2
+        head = [index[group].reshape(-1, *[1] * (len(tail_axes) - cut)) for index in indices]
+        start_of_row = 0
+        for *mid, start in itertools.product(*tail_axes[:cut], range(0, len(tail_axes[cut]), chunk)):
+            block_axes = [tail_axes[cut][start : start + chunk], *tail_axes[cut + 1 :]]
+            shape = (group.size,) * (heads > 0) + tuple(len(axis) for axis in block_axes)
+            settings = table.flat_settings((*head, *mid, *np.ix_(*block_axes)))
+            # lhs and rhs are freed once the margins exist, so only the margins outlive the block
+            margin = np.broadcast_to(np.subtract(*kernel(*table.correlations(settings))), shape)
+            rows = group * tail + start_of_row
+            start_of_row += margin.size // group.size
+            if limits is not None:
+                tops = margin.reshape(group.size, -1).max(axis=1)
+                if (tops > limits[group]).any():
+                    raise _BoundFailure
+                floor = max(floor, float(tops.max()) - slack)
+            yield rows, margin
+
+
+class _BoundFailure(Exception):
+    """A block row above its head's bound + epsilon: the bound skip's premise failed."""
 
 
 class _PairTable:
@@ -288,6 +368,8 @@ class _PairTable:
         self.values = space.pair(*np.ix_(*last, *last)).reshape(-1)
         self.shape = tuple(len(axis) for axis in last)
         self.sizes = tuple(len(axis) for axis in axes)
+        # the leading axes that hold every coordinate of a and b: their heads fix E(A,B)
+        self.heads = 1 + max(j for s in space.settings[:2] for j in s if j is not None)
 
     def correlations(self, settings):
         """ParameterSpace.correlations at four flat settings: pair value s, t is values[s * S + t]."""
@@ -365,53 +447,67 @@ def _orbit_limit(sizes, box, maps: int) -> int:
     return outside // (4 * maps)
 
 
-def _block_top(positions, margin, shape, starts, sizes):
+def _positions(rows, margin, flat):
+    """Linear indices in the block's sub-lattice of flat indices into its margins."""
+    if len(rows) == 1:  # no per-point division: a block's kept points may fill it
+        return rows[0] + flat
+    width = margin.size // len(rows)
+    return rows[flat // width] + flat % width
+
+
+def _block_top(rows, margin, shape, starts, sizes):
     """(margin, -linear lattice index) of a block's first maximum.
 
-    The block covers positions of the sub-lattice of that shape whose first
-    point sits at lattice index starts.
+    The block's rows (_open_mesh_blocks) cover positions of the sub-lattice
+    of that shape whose first point sits at lattice index starts; they
+    ascend, so its first maximum has the least position.
     """
     index = int(np.argmax(margin))
-    local = np.unravel_index(positions.start + index, shape)
+    local = np.unravel_index(int(_positions(rows, margin, index)), shape)
     position = np.ravel_multi_index(tuple(np.add(local, starts)), sizes)
     return float(margin.flat[index]), -int(position)
 
 
 def _fold(best, blocks, shape, starts, sizes):
-    """best, folded with each (positions, margin) block of a sub-lattice at starts of that shape."""
-    for positions, margin in blocks:
-        best = max(best, _block_top(positions, margin, shape, starts, sizes))
+    """best, folded with each (rows, margin) block of a sub-lattice at starts of that shape."""
+    for rows, margin in blocks:
+        best = max(best, _block_top(rows, margin, shape, starts, sizes))
     return best
 
 
-def _scan(kernel, table, sizes, starts, stops, best):
-    """best, folded with every block of the sub-lattice of indices starts[j] <= i < stops[j]."""
+def _scan(kernel, table, sizes, starts, stops, best, bound):
+    """best, folded with every block of the sub-lattice of indices starts[j] <= i < stops[j].
+
+    With a bound, the blocks skip the heads that can neither beat nor tie best.
+    """
     shape = tuple(stop - start for start, stop in zip(starts, stops))
     axes = [np.arange(start, stop) for start, stop in zip(starts, stops)]
-    return _fold(best, _open_mesh_blocks(kernel, table, axes), shape, starts, sizes)
+    blocks = _open_mesh_blocks(kernel, table, axes, bound, best[0])
+    return _fold(best, blocks, shape, starts, sizes)
 
 
-def _scan_outside(kernel, table, sizes, box, best):
+def _scan_outside(kernel, table, sizes, box, best, bound):
     """best, folded with the lattice outside the box: one sliced open mesh per axis the box cuts."""
     for axis, (count, size) in enumerate(zip(box, sizes)):
         if count < size:
             starts = (0,) * axis + (count,) + (0,) * (len(sizes) - axis - 1)
-            best = _scan(kernel, table, sizes, starts, box[:axis] + sizes[axis:], best)
+            best = _scan(kernel, table, sizes, starts, box[:axis] + sizes[axis:], best, bound)
     return best
 
 
-def _lattice_maximum(kernel, table, sizes, orbits):
+def _lattice_maximum(kernel, table, sizes, orbits, bound=None):
     """(margin, -linear index) of the lattice point with the largest computed margin.
 
     Of equal margins the smallest index wins.  With orbits, the (box, rows)
     of _orbits, the kept-orbit pass of the module docstring; without, or when
     a premise fails, the plain scan, which the pass hands whatever it has not
-    yet covered.
+    yet covered.  With a bound, both skip the (a, b) heads it rules out, and
+    raise _BoundFailure where its premise fails.
     """
     origin = (0,) * len(sizes)
     best = (-math.inf, 0)
     if orbits is None:
-        return _scan(kernel, table, sizes, origin, sizes, best)
+        return _scan(kernel, table, sizes, origin, sizes, best, bound)
     box, rows = orbits
 
     limit = _orbit_limit(sizes, box, len(rows))
@@ -419,12 +515,13 @@ def _lattice_maximum(kernel, table, sizes, orbits):
     # and at least a sixteenth of a block, so the small planar and ghz tables image
     # their benchmark scans' K (15 338 at planar 5 degrees) in one slice after the box
     slice_size = max(table.values.size, BLOCK_SIZE // 16)
-    blocks = _open_mesh_blocks(kernel, table, [np.arange(count) for count in box])
+    box_axes = [np.arange(count) for count in box]
+    blocks = _open_mesh_blocks(kernel, table, box_axes, bound, slack=2.0 * _SHIFT_DELTA)
     floor = -math.inf
     imaged = 0  # kept points whose images are folded in
     kept = []  # (box positions, margins) at or above the floor not yet imaged, one pair per block
-    for positions, margin in blocks:
-        top = _block_top(positions, margin, box, origin, sizes)
+    for block_rows, margin in blocks:
+        top = _block_top(block_rows, margin, box, origin, sizes)
         best = max(best, top)
         if top[0] - 2.0 * _SHIFT_DELTA > floor:
             floor = top[0] - 2.0 * _SHIFT_DELTA
@@ -438,7 +535,7 @@ def _lattice_maximum(kernel, table, sizes, orbits):
                 break
             best, imaged, pending = folded, imaged + pending, 0
         fresh = np.flatnonzero(margin >= floor)
-        kept.append((positions.start + fresh, margin.flat[fresh]))
+        kept.append((_positions(block_rows, margin, fresh), margin.flat[fresh]))
         del fresh  # freed before the next block: 1.6 MB less peak RSS over the lattice-3d scans
         if imaged + pending + kept[-1][1].size > limit:
             break
@@ -450,7 +547,7 @@ def _lattice_maximum(kernel, table, sizes, orbits):
     # outside it, so the images folded in so far are covered again
     del margin, kept  # arrays the rest of the scan does not need
     best = _fold(best, blocks, box, origin, sizes)
-    return _scan_outside(kernel, table, sizes, box, best)
+    return _scan_outside(kernel, table, sizes, box, best, bound)
 
 
 def _fold_images(kernel, table, rows, box, kept, slice_size, best):
@@ -509,8 +606,9 @@ def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) ->
     lexicographically first lattice index, so blocking cannot change the
     result.  On a lattice that closes the axes of one of the space's
     symmetries, the kept-orbit pass of the module docstring skips the orbits
-    that cannot hold the optimum and returns the identical result;
-    evaluations always counts every lattice point.  The verdict is labelled
+    that cannot hold the optimum, and dispersion_free and chsh scans skip the
+    (a, b) heads their bound rules out; either returns the identical result,
+    and evaluations always counts every lattice point.  The verdict is labelled
     at VIOLATION_TOL, as refine's is; a caller with another tolerance
     relabels it with make_verdict.
     """
@@ -539,7 +637,12 @@ def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) ->
     sizes = tuple(sizes)
     axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
     orbits = _orbits(space.settings, space.symmetries, sizes, tuple(closing))
-    _, position = _lattice_maximum(kernel, _PairTable(space, axes), sizes, orbits)
+    table = _PairTable(space, axes)
+    bound = inequalities._PAIR_BOUNDS.get(inequalities.INEQUALITIES[inequality_id][0])
+    try:
+        _, position = _lattice_maximum(kernel, table, sizes, orbits, bound)
+    except _BoundFailure:  # the whole lattice goes to the plain scan without the bound
+        _, position = _lattice_maximum(kernel, table, sizes, None)
     best_index = np.unravel_index(-position, sizes)
     best_coords = tuple(float(axis[i]) for axis, i in zip(axes, best_index))
     best_verdict = evaluate_point(inequality_id, space, best_coords)

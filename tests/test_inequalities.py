@@ -2,9 +2,12 @@
 
 import math
 import re
+import warnings
 
+import numpy as np
 import pytest
 
+from belllab import inequalities
 from belllab.errors import NumericsError
 from belllab.geometry import DotProductConfig, gram_of, planar
 from belllab.inequalities import (
@@ -278,3 +281,37 @@ def test_chsh_verdict_reads_only_cross_correlations():
     assert v.lhs == pytest.approx(abs(0.3 - 0.2 + 0.1 - 0.4), abs=1e-15)
     assert v.rhs == 2.0
     assert v.violated is False
+
+
+def test_the_bounded_kernels_reach_their_suprema_at_their_bounds():
+    # the margin bounds give the paper's two suprema: Tsirelson's 2 sqrt 2 for
+    # CHSH at E(A,B) = 0 and 12 for the dispersion-free form at E(A,B) = -1
+    bounds = inequalities._PAIR_BOUNDS
+    assert set(bounds) == {chsh_terms, dispersion_free_terms}
+    assert bounds[chsh_terms](0.0) + 2.0 == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-15)
+    assert bounds[dispersion_free_terms](-1.0) == 12.0
+    # four planar settings at 0, 180, 45 and -45 degrees meet both bounds
+    for kernel, angles in ((chsh_terms, (0, 90, 45, -45)), (dispersion_free_terms, (0, 180, 0, 0))):
+        profile = epr_profile_from_dots(gram_of(*planar([math.radians(a) for a in angles])))
+        lhs, rhs = kernel(*profile.as_dict().values())
+        assert lhs - rhs == pytest.approx(bounds[kernel](profile.e_ab), abs=1e-12)
+
+
+def test_each_bound_is_finite_and_quiet_a_few_ulp_past_plus_and_minus_one():
+    # a rounded dot product of two unit vectors may fall just outside [-1, 1];
+    # the bound clips it, so a root of a negative never warns or gives NaN
+    edges = []
+    for end in (-1.0, 1.0):
+        value = end
+        for _ in range(4):
+            value = np.nextafter(value, 2.0 * end)
+            edges.append(value)
+        edges.append(end)
+    edges = np.array(edges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bound in inequalities._PAIR_BOUNDS.values():
+            values = bound(edges)
+            assert np.isfinite(values).all()
+            assert np.array_equal(values, bound(np.clip(edges, -1.0, 1.0)))
+            assert all(math.isfinite(bound(float(value))) for value in edges)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belllab import search
+from belllab import inequalities, search
 from belllab.geometry import Direction, gram_of, planar
 from belllab.inequalities import (
     INEQUALITIES,
@@ -291,17 +291,21 @@ def test_rotation_quotient_evaluates_only_the_kept_orbits(monkeypatch, kernel_po
         ends = list(itertools.accumulate(kernel_points))
         return kernel_points[ends.index(n**3) + 1 : -1]
 
-    # 72 points per axis: the first-index-0 slab, then the other 71 points of
-    # each of K kept orbits, K = 2 for dispersion_free and 4 for chsh; the
-    # images come in batches of whole shifts, as many as the 72 * 72 entries
-    # of the pair table hold, so all 71 shifts take one kernel call
+    # 72 points per axis.  dispersion_free and chsh scan the first-index-0 slab
+    # by (a, b) head, b's angle with a at 0, each head the n * n points of c and
+    # d, in descending bound and in groups of 1, 2, 4, ... heads: one head
+    # (b opposite a) reaches the dispersion-free 12, and the groups of 1 and 2
+    # reach the Tsirelson value, after which no bound reaches the best.  Then
+    # the other 71 points of each of K kept orbits, K = 2 for dispersion_free
+    # and 4 for chsh; the images come in batches of whole shifts, as many as
+    # the 72 * 72 entries of the pair table hold, so all 71 shifts take one call
     n = 72
-    assert scanned_points("dispersion_free", "planar_epr", 5, n) == n**3 + 2 * (n - 1)
-    assert calls_after_the_slab(n) == [2 * (n - 1)]
-    assert scanned_points("chsh", "planar_epr", 5, n) == n**3 + 4 * (n - 1)
-    assert calls_after_the_slab(n) == [4 * (n - 1)]
-    assert scanned_points("ghz_dispersion_free", "ghz_angles", 2.5, n) == n**3 + 2 * (n - 1)
-    assert calls_after_the_slab(n) == [2 * (n - 1)]
+    assert scanned_points("dispersion_free", "planar_epr", 5, n) == n**2 + 2 * (n - 1)
+    assert kernel_points[:-1] == [n**2, 2 * (n - 1)]
+    assert scanned_points("chsh", "planar_epr", 5, n) == 3 * n**2 + 4 * (n - 1)
+    assert kernel_points[:-1] == [n**2, 2 * n**2, 4 * (n - 1)]
+    assert scanned_points("ghz_dispersion_free", "ghz_angles", 2.5, n) == n**2 + 2 * (n - 1)
+    assert kernel_points[:-1] == [n**2, 2 * (n - 1)]
     # the general bound keeps K = 15 338 orbits, more than the table holds, so
     # each shift's images take a call of their own
     for inequality_id, kind, degrees in (
@@ -311,16 +315,17 @@ def test_rotation_quotient_evaluates_only_the_kept_orbits(monkeypatch, kernel_po
         assert calls_after_the_slab(n) == [15338] * (n - 1)
     # 7 degrees does not close
     assert scanned_points("general", "planar_epr", 7, 51) == 51**4
-    # a lattice one ulp off its period still closes
+    # a lattice one ulp off its period still closes: three heads, then K = 4
     assert abs(120 * math.radians(3.0) - 2.0 * math.pi) == math.ulp(2.0 * math.pi)
-    assert scanned_points("chsh", "planar_epr", 3, 120) < 2 * 120**3
-    (images,) = calls_after_the_slab(120)
-    assert images % 119 == 0 and images // 119 <= 120**2
+    assert scanned_points("chsh", "planar_epr", 3, 120) == 3 * 120**2 + 4 * 119
+    assert kernel_points[:-1] == [120**2, 2 * 120**2, 4 * 119]
     # the table's size bounds a batch, not BLOCK_SIZE: 24 kept orbits at 30
-    # degrees take batches of 144 // 24 = 6 shifts even with blocks of 7 points
+    # degrees take batches of 144 // 24 = 6 shifts even with blocks of 7 points;
+    # a head's 12 * 12 points of c and d then take blocks of 7 and 5, one head
+    # at a time, and 6 of the 12 heads are scanned
     monkeypatch.setattr(search, "BLOCK_SIZE", 7)
-    assert scanned_points("chsh", "planar_epr", 30, 12) == 12**3 + 24 * 11
-    assert calls_after_the_slab(12) == [24 * 6, 24 * 5]
+    assert scanned_points("chsh", "planar_epr", 30, 12) == 6 * 12**2 + 24 * 11
+    assert kernel_points[:-1] == [7, 5] * (6 * 12) + [24 * 6, 24 * 5]
 
 
 @pytest.mark.parametrize(
@@ -592,18 +597,24 @@ def test_reflection_pass_matches_the_dense_scan_bit_for_bit(monkeypatch, degrees
 
 def test_reflection_pass_evaluates_the_box_and_the_kept_images(kernel_points):
     # at 22.5 degrees the box theta_a <= 90, phi_b <= 180 degrees holds 5 of the
-    # 9 polar and 9 of the 16 azimuth values; then the images under the three
-    # maps (z, y and zy) of the K points within 2 delta of the box maximum, in
-    # one call, as 3 K images fit in the 144 * 144 entries of the pair table
+    # 9 polar and 9 of the 16 azimuth values.  dispersion_free and chsh scan its
+    # 5 * 9 * 9 (a, b) heads, each the 144 * 144 points of c and d, in
+    # descending bound and in groups of 1, 2, 4 and 8 heads (16 would not fit
+    # in 262144 points), until no bound reaches the box maximum less 2 delta:
+    # 15 heads and 47.  Then the images under the three maps (z, y and zy) of the K points
+    # within 2 delta of the box maximum, in one call, as 3 K images fit in the
+    # 144 * 144 entries of the pair table
     total = 9**4 * 16**3
     box = total // (9 * 16) * 5 * 9
+    tail = 144**2
     resolution = math.radians(22.5)
-    for inequality_id, kept in (("dispersion_free", 4616), ("chsh", 128)):
+    for inequality_id, groups, kept in (
+        ("dispersion_free", (1, 2, 4, 8), 4616), ("chsh", (1, 2, 4, 8, 8, 8, 8, 8), 128)
+    ):
         kernel_points.clear()
         assert grid_search(inequality_id, VECTORS, resolution).evaluations == total
-        ends = list(itertools.accumulate(kernel_points))
         # the last call is the reported optimum's evaluate_point
-        assert kernel_points[ends.index(box) + 1 : -1] == [kept * 3]
+        assert kernel_points[:-1] == [heads * tail for heads in groups] + [kept * 3]
     # the general bound keeps K = 540 830 points, many slices' worth, so their
     # images are evaluated slice by slice while the box is scanned
     kernel_points.clear()
@@ -631,12 +642,102 @@ def test_an_image_beyond_delta_over_8_hands_the_rest_to_the_plain_scan(monkeypat
 
     monkeypatch.setattr(search, "inequality_kernel", offset_kernel)
     assert grid_search("chsh", VECTORS, resolution) == expected
-    # the box (3 * 5 of its 5 * 8 values of theta_a and phi_b), one batch of
-    # the images of K = 64 kept points under the three maps, the lattice
-    # outside the box, and the optimum's evaluate_point
-    box = expected.evaluations // (5 * 8) * 3 * 5
-    assert evaluated[:2] == [box, 64 * 3]
-    assert sum(evaluated[2:-1]) == expected.evaluations - box
+    # the box (3 * 5 of its 5 * 8 values of theta_a and phi_b) in groups of 1,
+    # 2, 4, 8 and 16 (a, b) heads of the 5**2 * 8**2 points of c and d, one
+    # batch of the images of K = 64 kept points under the three maps, which
+    # trips; the box has no head left that its bound admits, and each of the
+    # two slices of the lattice outside the box is scanned by bound too:
+    # groups of 1, 2, 4 and 8 heads; then the optimum's evaluate_point
+    tail = 5**2 * 8**2
+    assert evaluated[:6] == [tail, 2 * tail, 4 * tail, 8 * tail, 16 * tail, 64 * 3]
+    assert evaluated[6:-1] == [tail, 2 * tail, 4 * tail, 8 * tail] * 2
+
+
+def _bounded_point(space, data):
+    """Coordinates drawn in space's bounds; b often at a's setting or opposite it, where E(A,B) is +-1."""
+    coords = [data.draw(st.floats(lo, hi)) for lo, hi in space.bounds]
+    shape = data.draw(st.sampled_from(("free", "same", "opposite")))
+    if shape != "free":
+        a, b = space.settings[:2]
+        if len(a) == 1:  # the planar spaces: one angle per setting, period pi on ghz_angles
+            half = (space.bounds[a[0]][1] - space.bounds[a[0]][0]) / 2.0
+            coords[b[0]] = coords[a[0]] + (half if shape == "opposite" else 0.0)
+        else:  # vectors3d: a at (theta_a, 0)
+            theta, _ = a
+            coords[b[0]] = coords[theta] if shape == "same" else math.pi - coords[theta]
+            coords[b[1]] = 0.0 if shape == "same" else math.pi
+    return coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_each_bounded_margin_is_within_epsilon_of_its_bound(data):
+    # the premise of the bound skip: a computed margin is at most the bound at
+    # its computed E(A,B) plus epsilon, on every space
+    space = SPACES[data.draw(st.sampled_from(SPACE_KINDS))]
+    coords = _bounded_point(space, data)
+    e_ab = space.correlations(tuple(coords))[4]
+    for inequality_id in ("dispersion_free", "chsh"):
+        bound = inequalities._PAIR_BOUNDS[inequality_kernel(inequality_id)]
+        margin = evaluate_point(inequality_id, space, coords).margin
+        assert margin <= bound(e_ab) + search._BOUND_EPSILON
+
+
+@pytest.mark.parametrize(
+    "kind, degrees",
+    [("planar_epr", 5), ("planar_epr", 7), ("ghz_angles", 2.5), ("ghz_angles", 90),
+     ("vectors3d", 22.5), ("vectors3d", 28), ("vectors3d", 29)],
+)
+def test_each_bounded_lattice_optimum_is_within_epsilon_of_its_bound(kind, degrees):
+    space = SPACES[kind]
+    for inequality_id in ("dispersion_free", "chsh"):
+        result = grid_search(inequality_id, space, math.radians(degrees))
+        e_ab = space.correlations(result.best_params)[4]
+        bound = inequalities._PAIR_BOUNDS[inequality_kernel(inequality_id)]
+        assert math.isfinite(bound(e_ab))
+        assert result.best_verdict.margin <= bound(e_ab) + search._BOUND_EPSILON
+
+
+@pytest.mark.parametrize(
+    "inequality_id, kind, degrees",
+    [("chsh", "vectors3d", 45), ("dispersion_free", "vectors3d", 45),
+     ("dispersion_free", "planar_epr", 13), ("chsh", "ghz_angles", 7)],
+)
+@pytest.mark.parametrize("failing_call", [0, 2])
+def test_a_margin_above_its_bound_hands_the_whole_lattice_to_the_unbounded_plain_scan(
+    monkeypatch, inequality_id, kind, degrees, failing_call
+):
+    # the reflection pass at 45 degrees on vectors3d, the plain scan at 13 and 7
+    # degrees on the planar spaces; one block's last point is raised far above
+    # its head's bound, in the first block or the third
+    space = SPACES[kind]
+    resolution = math.radians(degrees)
+    coords, total = _dense_scan(inequality_kernel(inequality_id), space, resolution)
+    expected = grid_search(inequality_id, space, resolution)
+    dense = (coords, evaluate_point(inequality_id, space, coords), total)
+    assert (expected.best_params, expected.best_verdict, expected.evaluations) == dense
+    calls = []  # (ndim, points) of every kernel call
+
+    def raised_kernel(inequality_id, family=None):
+        kernel = inequality_kernel(inequality_id, family)
+
+        def raised(*terms):
+            lhs, rhs = kernel(*terms)
+            if len(calls) == failing_call:
+                lhs = lhs.copy()
+                lhs.flat[-1] += 100.0
+            calls.append((np.ndim(lhs), np.size(lhs)))
+            return lhs, rhs
+
+        return raised
+
+    monkeypatch.setattr(search, "inequality_kernel", raised_kernel)
+    assert grid_search(inequality_id, space, resolution) == expected
+    assert calls[failing_call][0] > 1  # an open-mesh block
+    # the open-mesh blocks after it cover the whole lattice; the last call is
+    # the reported optimum's evaluate_point
+    assert all(ndim > 1 for ndim, _ in calls[failing_call + 1 : -1])
+    assert sum(size for _, size in calls[failing_call + 1 : -1]) == total
 
 
 # kernel calls of images: the first slice's three maps, then the second

@@ -85,6 +85,14 @@ EDGE_ARGV = (
     (*_SEARCH, "ghz-angles", "--resolution", "90"),
     ("search", "--inequality", "ghz_general", "--space", "ghz-angles", "--resolution", "7"),
     ("search", "--inequality", "dispersion_free", "--space", "vectors3d", "--resolution", "29"),
+    # the bound skip of dispersion_free and chsh at its edges: on vectors3d at 28
+    # degrees 20 pair values round past 1 (a plain scan); chsh on planar-epr at 7
+    # degrees skips in the plain scan; dispersion_free on ghz-angles at 90 degrees
+    # reaches its bound 12 at 4 of the 16 points, the first one reported
+    ("search", "--inequality", "dispersion_free", "--space", "vectors3d", "--resolution", "28"),
+    (*_SEARCH, "vectors3d", "--resolution", "28"),
+    (*_SEARCH, "planar-epr", "--resolution", "7"),
+    ("search", "--inequality", "dispersion_free", "--space", "ghz-angles", "--resolution", "90"),
     (*_SEARCH, "nowhere"),
     (*_SEARCH, "planar-epr", "--resolution", "45", "--tolerance", "1", "--refine"),
     (*_SEARCH, "planar-epr", "--resolution", "45", "--tolerance", "nan"),
