@@ -84,10 +84,7 @@ symmetry applies only if each of its maps keeps index 0 where a setting
 holds its coordinate at the origin (a's azimuth on vectors3d); a lattice on
 which no symmetry applies takes the plain scan.  During the box, the points
 imaged and kept must meet the cost rule of _orbit_limit, and in each batch
-no image may differ from its kept point by more than delta / 8.  A failure
-of either, at any block, hands the rest of the box and then the lattice
-outside it to the plain scan.  SearchResult.evaluations counts the whole
-lattice either way.
+no image may differ from its kept point by more than delta / 8.
 
 Bound skip.  Every space's pair function is the dot product of two unit
 vectors (on ghz_angles at the doubled angles), so under the singlet rule the
@@ -121,9 +118,14 @@ the bound at the clipped value is below the bound at the exact one by at
 most 4 eta (dispersion_free) or, sqrt being 1/2-Hoelder, 2 sqrt(2 eta) =
 3.4e-7 (CHSH, near E(A,B) = +-1), plus its own rounding of a few u.  The
 largest sum, CHSH's 3.4e-7 + 4 eta + 150 u, is below epsilon = 1e-6 by a
-factor of about 3.  The premise is checked where it is used: a block row
-above its head's bound + epsilon hands the whole lattice to the plain scan
-without the bound.
+factor of about 3, and every block row checks it.
+
+A failed premise, a block row above its head's bound + epsilon, an image
+past delta / 8 or a broken cost rule, rescans the whole lattice with the
+plain scan and without the bound, so the result is the full scan's either
+way.  The work before the rescan is at most one lattice (a plain scan) or
+the box and _orbit_limit images, so a scan's cost is bounded before it
+starts.  SearchResult.evaluations counts the whole lattice either way.
 """
 
 from __future__ import annotations
@@ -285,7 +287,7 @@ def evaluate_point(inequality_id: str, space: ParameterSpace, coords) -> Inequal
 # Grid search.
 
 
-def _open_mesh_blocks(kernel, table, axes, bound=None, floor=-math.inf, slack=0.0):
+def _open_mesh_blocks(kernel, table, axes, bound=None, slack=0.0):
     """(rows, margins) of each open-mesh block the scan evaluates.
 
     axes are lattice index axes, and a block's correlations are the table's at
@@ -300,8 +302,9 @@ def _open_mesh_blocks(kernel, table, axes, bound=None, floor=-math.inf, slack=0.
     tails fit in BLOCK_SIZE, a group's heads in ascending order, one row each,
     the whole tail in one block; or, with the tail over BLOCK_SIZE, one head
     at a time, over the tail's blocks.  The blocks stop before a group whose
-    bound + epsilon is below floor, which rises to each block's maximum less
-    slack; a block row above its head's bound + epsilon raises _BoundFailure.
+    bound + epsilon is below the floor, which starts at -inf and rises to each
+    block's maximum less slack; a block row above its head's bound + epsilon
+    raises _PremiseFailure.
     """
     heads = 0 if bound is None else table.heads
     tail_axes = axes[heads:]
@@ -322,6 +325,7 @@ def _open_mesh_blocks(kernel, table, axes, bound=None, floor=-math.inf, slack=0.
         e_ab = table.correlations(table.flat_settings(indices + [0] * len(tail_axes)))[4]
         limits = bound(e_ab) + _BOUND_EPSILON
         order = np.argsort(-limits, kind="stable")
+    floor = -math.inf
     first, size = 0, 1
     while first < order.size:
         if limits is not None and limits[order[first]] < floor:
@@ -343,13 +347,13 @@ def _open_mesh_blocks(kernel, table, axes, bound=None, floor=-math.inf, slack=0.
             if limits is not None:
                 tops = margin.reshape(group.size, -1).max(axis=1)
                 if (tops > limits[group]).any():
-                    raise _BoundFailure
+                    raise _PremiseFailure
                 floor = max(floor, float(tops.max()) - slack)
             yield rows, margin
 
 
-class _BoundFailure(Exception):
-    """A block row above its head's bound + epsilon: the bound skip's premise failed."""
+class _PremiseFailure(Exception):
+    """A premise of the bound skip or the kept-orbit pass failed (module docstring)."""
 
 
 class _PairTable:
@@ -435,7 +439,7 @@ def _orbits(settings, symmetries, sizes, closing):
 
 
 def _orbit_limit(sizes, box, maps: int) -> int:
-    """Most points the pass may image; beyond it the plain scan covers the rest.
+    """Most points the pass may image; beyond it the plain scan rescans the whole lattice.
 
     The kept points' images may cost no more than the points outside the box
     that they spare.  An image gathers its six pair values through the map
@@ -455,59 +459,29 @@ def _positions(rows, margin, flat):
     return rows[flat // width] + flat % width
 
 
-def _block_top(rows, margin, shape, starts, sizes):
+def _block_top(rows, margin, shape, sizes):
     """(margin, -linear lattice index) of a block's first maximum.
 
     The block's rows (_open_mesh_blocks) cover positions of the sub-lattice
-    of that shape whose first point sits at lattice index starts; they
-    ascend, so its first maximum has the least position.
+    of that shape at the lattice's origin; they ascend, so its first maximum
+    has the least position.
     """
     index = int(np.argmax(margin))
     local = np.unravel_index(int(_positions(rows, margin, index)), shape)
-    position = np.ravel_multi_index(tuple(np.add(local, starts)), sizes)
-    return float(margin.flat[index]), -int(position)
-
-
-def _fold(best, blocks, shape, starts, sizes):
-    """best, folded with each (rows, margin) block of a sub-lattice at starts of that shape."""
-    for rows, margin in blocks:
-        best = max(best, _block_top(rows, margin, shape, starts, sizes))
-    return best
-
-
-def _scan(kernel, table, sizes, starts, stops, best, bound):
-    """best, folded with every block of the sub-lattice of indices starts[j] <= i < stops[j].
-
-    With a bound, the blocks skip the heads that can neither beat nor tie best.
-    """
-    shape = tuple(stop - start for start, stop in zip(starts, stops))
-    axes = [np.arange(start, stop) for start, stop in zip(starts, stops)]
-    blocks = _open_mesh_blocks(kernel, table, axes, bound, best[0])
-    return _fold(best, blocks, shape, starts, sizes)
-
-
-def _scan_outside(kernel, table, sizes, box, best, bound):
-    """best, folded with the lattice outside the box: one sliced open mesh per axis the box cuts."""
-    for axis, (count, size) in enumerate(zip(box, sizes)):
-        if count < size:
-            starts = (0,) * axis + (count,) + (0,) * (len(sizes) - axis - 1)
-            best = _scan(kernel, table, sizes, starts, box[:axis] + sizes[axis:], best, bound)
-    return best
+    return float(margin.flat[index]), -int(np.ravel_multi_index(local, sizes))
 
 
 def _lattice_maximum(kernel, table, sizes, orbits, bound=None):
     """(margin, -linear index) of the lattice point with the largest computed margin.
 
     Of equal margins the smallest index wins.  With orbits, the (box, rows)
-    of _orbits, the kept-orbit pass of the module docstring; without, or when
-    a premise fails, the plain scan, which the pass hands whatever it has not
-    yet covered.  With a bound, both skip the (a, b) heads it rules out, and
-    raise _BoundFailure where its premise fails.
+    of _orbits, the kept-orbit pass of the module docstring; without, the
+    plain scan.  With a bound, both skip the (a, b) heads it rules out.
+    Either raises _PremiseFailure where a premise fails.
     """
-    origin = (0,) * len(sizes)
-    best = (-math.inf, 0)
     if orbits is None:
-        return _scan(kernel, table, sizes, origin, sizes, best, bound)
+        blocks = _open_mesh_blocks(kernel, table, [np.arange(n) for n in sizes], bound)
+        return max(_block_top(rows, margin, sizes, sizes) for rows, margin in blocks)
     box, rows = orbits
 
     limit = _orbit_limit(sizes, box, len(rows))
@@ -517,11 +491,12 @@ def _lattice_maximum(kernel, table, sizes, orbits, bound=None):
     slice_size = max(table.values.size, BLOCK_SIZE // 16)
     box_axes = [np.arange(count) for count in box]
     blocks = _open_mesh_blocks(kernel, table, box_axes, bound, slack=2.0 * _SHIFT_DELTA)
+    best = (-math.inf, 0)
     floor = -math.inf
     imaged = 0  # kept points whose images are folded in
     kept = []  # (box positions, margins) at or above the floor not yet imaged, one pair per block
     for block_rows, margin in blocks:
-        top = _block_top(block_rows, margin, box, origin, sizes)
+        top = _block_top(block_rows, margin, box, sizes)
         best = max(best, top)
         if top[0] - 2.0 * _SHIFT_DELTA > floor:
             floor = top[0] - 2.0 * _SHIFT_DELTA
@@ -530,24 +505,14 @@ def _lattice_maximum(kernel, table, sizes, orbits, bound=None):
             continue  # no point of the block is near the maximum
         pending = sum(m.size for _, m in kept)
         if pending >= slice_size:
-            folded = _fold_images(kernel, table, rows, box, kept, slice_size, best)
-            if folded is None:
-                break
-            best, imaged, pending = folded, imaged + pending, 0
+            best = _fold_images(kernel, table, rows, box, kept, slice_size, best)
+            imaged, pending = imaged + pending, 0
         fresh = np.flatnonzero(margin >= floor)
         kept.append((_positions(block_rows, margin, fresh), margin.flat[fresh]))
         del fresh  # freed before the next block: 1.6 MB less peak RSS over the lattice-3d scans
         if imaged + pending + kept[-1][1].size > limit:
-            break
-    else:
-        folded = _fold_images(kernel, table, rows, box, kept, slice_size, best)
-        if folded is not None:
-            return folded
-    # a premise failed: the plain scan covers the rest of the box and the lattice
-    # outside it, so the images folded in so far are covered again
-    del margin, kept  # arrays the rest of the scan does not need
-    best = _fold(best, blocks, box, origin, sizes)
-    return _scan_outside(kernel, table, sizes, box, best, bound)
+            raise _PremiseFailure  # the cost rule
+    return _fold_images(kernel, table, rows, box, kept, slice_size, best)
 
 
 def _fold_images(kernel, table, rows, box, kept, slice_size, best):
@@ -556,8 +521,8 @@ def _fold_images(kernel, table, rows, box, kept, slice_size, best):
     kept is emptied first, so only its points' concatenation stays alive.  The
     points go in slices of slice_size, and a slice's images to the kernel in
     batches of whole maps, as many as fit in the table's size (or one map).
-    None when an image's margin differs from its kept point's by more than
-    delta / 8.
+    Raises _PremiseFailure when an image's margin differs from its kept
+    point's by more than delta / 8.
     """
     positions, margins = (np.concatenate(arrays) for arrays in zip(*kept))
     kept.clear()
@@ -575,7 +540,7 @@ def _fold_images(kernel, table, rows, box, kept, slice_size, best):
             )
             images = (lhs - rhs).reshape(len(moved), points.size)  # row g: map start + g's margins
             if not np.abs(images - point_margins).max() <= _SHIFT_DELTA / 8.0:
-                return None
+                raise _PremiseFailure  # the tripwire
             top = float(images.max())
             if top >= best[0]:  # else no image of the batch beats or ties the best
                 maps, ties = np.nonzero(images == top)
@@ -635,13 +600,19 @@ def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) ->
             f"more than the {MAX_LATTICE_POINTS} one scan may cover"
         )
     sizes = tuple(sizes)
-    axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
+    # clamped, so that roundoff in a clipped axis's count puts no point past its bound
+    axes = [
+        np.minimum(lo + resolution * np.arange(count), hi)
+        for (lo, hi), count in zip(space.bounds, sizes)
+    ]
     orbits = _orbits(space.settings, space.symmetries, sizes, tuple(closing))
     table = _PairTable(space, axes)
     bound = inequalities._PAIR_BOUNDS.get(inequalities.INEQUALITIES[inequality_id][0])
     try:
         _, position = _lattice_maximum(kernel, table, sizes, orbits, bound)
-    except _BoundFailure:  # the whole lattice goes to the plain scan without the bound
+    except _PremiseFailure:
+        position = None  # rescanned below, once the traceback frees the failed pass's arrays
+    if position is None:  # the whole lattice goes to the plain scan without the bound
         _, position = _lattice_maximum(kernel, table, sizes, None)
     best_index = np.unravel_index(-position, sizes)
     best_coords = tuple(float(axis[i]) for axis, i in zip(axes, best_index))

@@ -9,7 +9,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import bytecheck  # noqa: E402
 
-from belllab import lhv, search  # noqa: E402
+from belllab import cli, lhv, search  # noqa: E402
 
 ARGV = [
     ["--version"],
@@ -68,3 +68,26 @@ def test_the_edge_argv_reach_every_case_of_the_vectors3d_reflections():
                       for axis in (0, 2)]  # a polar and an azimuth axis
             cases.add(tuple(closes))
     assert cases == {(True, True), (False, True), (False, False)}
+
+
+def test_the_edge_argv_reach_the_whole_lattice_rescan_of_a_failed_premise(monkeypatch, capsys):
+    # a scan whose premise fails calls _lattice_maximum a second time, on the
+    # whole lattice; the edge argv reach that from a general scan and a bounded one
+    scan = search._lattice_maximum
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_lattice_maximum", counted)
+    rescanned = set()
+    for argv in bytecheck.EDGE_ARGV:
+        if argv[0] == "search" and "--help" not in argv:
+            calls.clear()
+            cli.main(list(argv))
+            if len(calls) == 2:
+                rescanned.add(argv[argv.index("--inequality") + 1])
+    capsys.readouterr()
+    assert "general" in rescanned
+    assert rescanned & {"chsh", "dispersion_free"}

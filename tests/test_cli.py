@@ -16,7 +16,7 @@ import belllab.lhv as lhv
 from belllab.errors import NumericsError
 from belllab.inequalities import VIOLATION_TOL, verdict_for_profile
 from belllab.lhv import MAX_CHECK_MODELS, lhv_profile, random_model
-from belllab.search import MAX_SWEEP_STEPS
+from belllab.search import MAX_SWEEP_STEPS, parameter_space
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -587,6 +587,25 @@ def test_search_defaults_to_a_resolution_each_space_can_scan(capsys):
     code, out, _ = run(capsys, "search", "--inequality", "chsh", "--space", "ghz-angles")
     assert code == 0
     assert json.loads(out)["resolution_deg"] == 5.0
+
+
+@pytest.mark.parametrize(
+    "inequality, degrees",
+    [("chsh", "90.00000001"), ("general", "60.00000001"), ("dispersion_free", "45.00000001"),
+     ("general", "90.0000000001")],
+)
+def test_search_reports_points_inside_the_clipped_polar_interval(capsys, inequality, degrees):
+    # roundoff in the axis count gives these polar axes a last step past 180
+    # degrees; the lattice ends on 180, so the grid point is in bounds and
+    # refinement can start from it
+    code, out, err = run(capsys, "search", "--inequality", inequality, "--space", "vectors3d",
+                         "--resolution", degrees, "--refine")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    for part in ("grid", "refine"):
+        coords = report[part]["best_params_rad"]
+        for value, (lo, hi) in zip(coords, parameter_space("vectors3d").bounds):
+            assert lo <= value <= hi
 
 
 def test_lhv_check_passes(capsys):

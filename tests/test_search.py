@@ -380,6 +380,27 @@ def test_axis_count_gives_the_whole_steps_and_whether_they_close(
     assert _axis_count(0.0, hi, wrapped, math.radians(degrees)) == (count, closes)
 
 
+def test_grid_axes_stay_inside_a_clipped_interval(monkeypatch):
+    # 12 degrees divides 180, but 15 of its steps end one ulp past it; the polar
+    # axes end on 180 instead (the command line tests coarser lattices whose
+    # count roundoff adds a whole step past 180 degrees)
+    axes = []
+
+    class Built(Exception):
+        pass
+
+    def capture(space, lattice_axes):
+        axes.extend(lattice_axes)
+        raise Built  # the 12 degree lattice's 1.8e9 points are not scanned
+
+    monkeypatch.setattr(search, "_PairTable", capture)
+    with pytest.raises(Built):
+        grid_search("general", VECTORS, math.radians(12.0))
+    for axis, (lo, hi) in zip(axes, VECTORS.bounds):
+        assert lo <= axis.min() and axis.max() <= hi
+    assert axes[0][-1] == math.pi
+
+
 # the six correlations in field order, e_ac, e_ad, e_bc, e_bd, e_ab, e_cd, as pairs of settings
 FIELD_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3), (0, 1), (2, 3))
 
@@ -645,12 +666,12 @@ def test_an_image_beyond_delta_over_8_hands_the_rest_to_the_plain_scan(monkeypat
     # the box (3 * 5 of its 5 * 8 values of theta_a and phi_b) in groups of 1,
     # 2, 4, 8 and 16 (a, b) heads of the 5**2 * 8**2 points of c and d, one
     # batch of the images of K = 64 kept points under the three maps, which
-    # trips; the box has no head left that its bound admits, and each of the
-    # two slices of the lattice outside the box is scanned by bound too:
-    # groups of 1, 2, 4 and 8 heads; then the optimum's evaluate_point
+    # trips; then the whole 5**4 * 8**3 lattice without the bound, in blocks
+    # of four theta_a values and then the fifth, 64 000 points a value; then the
+    # optimum's evaluate_point
     tail = 5**2 * 8**2
     assert evaluated[:6] == [tail, 2 * tail, 4 * tail, 8 * tail, 16 * tail, 64 * 3]
-    assert evaluated[6:-1] == [tail, 2 * tail, 4 * tail, 8 * tail] * 2
+    assert evaluated[6:-1] == [256000, 64000]
 
 
 def _bounded_point(space, data):
@@ -781,9 +802,10 @@ def test_a_premise_failing_after_a_mid_box_slice_hands_the_rest_to_the_plain_sca
     images = [k for k, (dim, _) in enumerate(calls) if dim == 1]
     assert [calls[k][1] for k in images] == [3600] * image_calls
     # the pass stopped partway through the box; the open-mesh blocks then
-    # cover the rest of the box and the lattice outside it
+    # cover the whole lattice, and the last call is the optimum's evaluate_point
     assert sum(size for dim, size in calls[: images[-1]] if dim > 1) < box
-    assert sum(size for dim, size in calls if dim > 1) == total
+    assert all(dim > 1 for dim, _ in calls[images[-1] + 1 : -1])
+    assert sum(size for _, size in calls[images[-1] + 1 : -1]) == total
 
 
 def test_the_reflection_pass_holds_at_most_a_block_of_kept_points_beyond_the_plain_scan(

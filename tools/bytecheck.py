@@ -93,6 +93,14 @@ EDGE_ARGV = (
     (*_SEARCH, "vectors3d", "--resolution", "28"),
     (*_SEARCH, "planar-epr", "--resolution", "7"),
     ("search", "--inequality", "dispersion_free", "--space", "ghz-angles", "--resolution", "90"),
+    # a failed premise rescans the whole lattice: the cost rule on the 320 000
+    # points of general at 45 degrees, the largest such rescan measured, and the
+    # image tripwire of chsh at 180 degrees above
+    ("search", "--inequality", "general", "--space", "vectors3d", "--resolution", "45"),
+    # roundoff in the axis count puts a last polar step past 180 degrees, which
+    # the lattice clamps to 180, so refinement starts inside the bounds
+    (*_SEARCH, "vectors3d", "--resolution", "90.00000001"),
+    (*_SEARCH, "vectors3d", "--resolution", "90.00000001", "--refine"),
     (*_SEARCH, "nowhere"),
     (*_SEARCH, "planar-epr", "--resolution", "45", "--tolerance", "1", "--refine"),
     (*_SEARCH, "planar-epr", "--resolution", "45", "--tolerance", "nan"),
