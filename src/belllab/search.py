@@ -53,13 +53,13 @@ reflections), so it holds an image of every lattice point.
 Computed margins are not exactly invariant: the premise, pinned by property
 tests, is that a point's and its image's computed margins differ by at most
 delta = 1e-12 (measured worst case about 2e-14).  The pass scans the box in
-blocks as usual and keeps every box point within 2 delta of the box maximum
-so far, dropping kept points as that maximum rises; once a slice's worth is
-kept, it evaluates every non-identity image of those points and drops them,
-and after the last block it images the rest, so it never holds all K points
-that end within 2 delta of the box maximum M.  A slice is the pair table's
-size, or BLOCK_SIZE / 16 where that is more.  A map moves every setting
-alike, so it permutes the S settings of the pair table: each non-identity
+blocks as usual, and each block adds to one list of kept points its points
+at or above the floor, the box maximum so far less 2 delta.  Once a slice's
+worth is kept, it evaluates every non-identity image of those points and
+drops them, and after the last block it images the rest, so it never holds
+all of the kept points.  A slice is the pair table's size, or BLOCK_SIZE /
+16 where that is more.  A map moves every setting alike, so it permutes
+the S settings of the pair table: each non-identity
 map of G is one row of S flat setting indices, the outer product of its
 coordinates' index images, built once per lattice.  An image's four
 settings are 1-d takes from its map's row at the kept point's flat
@@ -68,23 +68,24 @@ blocks read; an image that ties the best margin has its lattice index read
 back from its four settings.  The images go to the kernel in batches of
 whole maps, as many as fit in the table's size (or one map), and each batch
 folds into the maximum as it comes.  This is exact, for every symmetry.
-The point p* the full scan reports has margin at least M and an image q in
-the box with margin at least M - delta.  The maximum so far never exceeds M,
-so q is kept until its images are evaluated, p* among them.  A point whose
-box image was not kept has margin below M - delta, so it neither beats nor
-ties p*.  Points imaged before the maximum rose are lattice points too, with
-the margins the blocks would compute.  The largest margin, and of equal
-ones the smallest linear index, is therefore the full scan's answer, whatever
-order the points come in.
+Let M be the box maximum.  The point p* the full scan reports has margin at
+least M and an image q in the box with margin at least M - delta.  The floor
+never exceeds M - 2 delta, so q is kept and its images, p* among them, are
+evaluated.  A point whose box image was not kept has margin below M - delta,
+so it neither beats nor ties p*.  A kept point is a lattice point whatever
+the floor does later, and its images have the margins the blocks would
+compute.  The largest margin, and of equal ones the smallest linear index,
+is therefore the full scan's answer, whatever order the points come in.
+Each box point is kept at most once, so the pass evaluates at most |G|
+times the box's points.
 
 A symmetry acts on one coordinate of every setting, so it cannot move one
-setting's coordinate without the others'.  Three premises are checked, and
+setting's coordinate without the others'.  Two premises are checked, and
 the result is the full scan's either way.  Where the map rows are built, a
 symmetry applies only if each of its maps keeps index 0 where a setting
 holds its coordinate at the origin (a's azimuth on vectors3d); a lattice on
-which no symmetry applies takes the plain scan.  During the box, the points
-imaged and kept must meet the cost rule of _orbit_limit, and in each batch
-no image may differ from its kept point by more than delta / 8.
+which no symmetry applies takes the plain scan.  In each batch of images, no
+image may differ from its kept point by more than delta / 8.
 
 Bound skip.  Every space's pair function is the dot product of two unit
 vectors (on ghz_angles at the doubled angles), so under the singlet rule the
@@ -120,12 +121,12 @@ most 4 eta (dispersion_free) or, sqrt being 1/2-Hoelder, 2 sqrt(2 eta) =
 largest sum, CHSH's 3.4e-7 + 4 eta + 150 u, is below epsilon = 1e-6 by a
 factor of about 3, and every block row checks it.
 
-A failed premise, a block row above its head's bound + epsilon, an image
-past delta / 8 or a broken cost rule, rescans the whole lattice with the
-plain scan and without the bound, so the result is the full scan's either
-way.  The work before the rescan is at most one lattice (a plain scan) or
-the box and _orbit_limit images, so a scan's cost is bounded before it
-starts.  SearchResult.evaluations counts the whole lattice either way.
+A failed premise, a block row above its head's bound + epsilon or an image
+past delta / 8, rescans the whole lattice with the plain scan and without
+the bound, so the result is the full scan's either way.  The work before the
+rescan is at most one lattice (a plain scan) or |G| times the box's points,
+so a scan's cost is bounded before it starts.  SearchResult.evaluations
+counts the whole lattice either way.
 """
 
 from __future__ import annotations
@@ -438,19 +439,6 @@ def _orbits(settings, symmetries, sizes, closing):
     return tuple(box), rows
 
 
-def _orbit_limit(sizes, box, maps: int) -> int:
-    """Most points the pass may image; beyond it the plain scan rescans the whole lattice.
-
-    The kept points' images may cost no more than the points outside the box
-    that they spare.  An image gathers its six pair values through the map
-    rows of _orbits and costs about 4 open-mesh points: 21-22 ns
-    against 6 ns on the planar 5 degree and ghz 2.5 degree general scans, 27
-    against 10 ns at planar 10 degrees (2 CPUs, CPython 3.11, numpy 2.4).
-    """
-    outside = math.prod(sizes) - math.prod(box)
-    return outside // (4 * maps)
-
-
 def _positions(rows, margin, flat):
     """Linear indices in the block's sub-lattice of flat indices into its margins."""
     if len(rows) == 1:  # no per-point division: a block's kept points may fill it
@@ -476,15 +464,14 @@ def _lattice_maximum(kernel, table, sizes, orbits, bound=None):
 
     Of equal margins the smallest index wins.  With orbits, the (box, rows)
     of _orbits, the kept-orbit pass of the module docstring; without, the
-    plain scan.  With a bound, both skip the (a, b) heads it rules out.
-    Either raises _PremiseFailure where a premise fails.
+    plain scan.  With a bound, both skip the (a, b) heads it rules out.  The
+    pass evaluates at most len(rows) + 1 times the box's points.  Either
+    raises _PremiseFailure where a premise fails.
     """
     if orbits is None:
         blocks = _open_mesh_blocks(kernel, table, [np.arange(n) for n in sizes], bound)
         return max(_block_top(rows, margin, sizes, sizes) for rows, margin in blocks)
     box, rows = orbits
-
-    limit = _orbit_limit(sizes, box, len(rows))
     # a slice: a pair table's worth of kept points, one map's images per kernel call,
     # and at least a sixteenth of a block, so the small planar and ghz tables image
     # their benchmark scans' K (15 338 at planar 5 degrees) in one slice after the box
@@ -493,25 +480,16 @@ def _lattice_maximum(kernel, table, sizes, orbits, bound=None):
     blocks = _open_mesh_blocks(kernel, table, box_axes, bound, slack=2.0 * _SHIFT_DELTA)
     best = (-math.inf, 0)
     floor = -math.inf
-    imaged = 0  # kept points whose images are folded in
-    kept = []  # (box positions, margins) at or above the floor not yet imaged, one pair per block
+    kept = []  # (box positions, margins) of kept points not yet imaged, one pair per block
     for block_rows, margin in blocks:
         top = _block_top(block_rows, margin, box, sizes)
         best = max(best, top)
-        if top[0] - 2.0 * _SHIFT_DELTA > floor:
-            floor = top[0] - 2.0 * _SHIFT_DELTA
-            kept = [(p[m >= floor], m[m >= floor]) for p, m in kept]
-        if not top[0] >= floor:
-            continue  # no point of the block is near the maximum
-        pending = sum(m.size for _, m in kept)
-        if pending >= slice_size:
+        floor = max(floor, top[0] - 2.0 * _SHIFT_DELTA)
+        if sum(m.size for _, m in kept) >= slice_size:
             best = _fold_images(kernel, table, rows, box, kept, slice_size, best)
-            imaged, pending = imaged + pending, 0
         fresh = np.flatnonzero(margin >= floor)
         kept.append((_positions(block_rows, margin, fresh), margin.flat[fresh]))
         del fresh  # freed before the next block: 1.6 MB less peak RSS over the lattice-3d scans
-        if imaged + pending + kept[-1][1].size > limit:
-            raise _PremiseFailure  # the cost rule
     return _fold_images(kernel, table, rows, box, kept, slice_size, best)
 
 
@@ -607,7 +585,7 @@ def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) ->
     ]
     orbits = _orbits(space.settings, space.symmetries, sizes, tuple(closing))
     table = _PairTable(space, axes)
-    bound = inequalities._PAIR_BOUNDS.get(inequalities.INEQUALITIES[inequality_id][0])
+    bound = inequalities._PAIR_BOUNDS.get(kernel)
     try:
         _, position = _lattice_maximum(kernel, table, sizes, orbits, bound)
     except _PremiseFailure:

@@ -172,7 +172,11 @@ def _dense_scan(kernel, space, resolution):
         _axis_count(lo, hi, wrapped, resolution)[0]
         for (lo, hi), wrapped in zip(space.bounds, space.wrap)
     ]
-    axes = [lo + resolution * np.arange(count) for (lo, _), count in zip(space.bounds, sizes)]
+    # clamped as grid_search clamps them, so no point lies past a clipped bound
+    axes = [
+        np.minimum(lo + resolution * np.arange(count), hi)
+        for (lo, hi), count in zip(space.bounds, sizes)
+    ]
 
     split = len(axes) - 1
     while split > 0 and math.prod(sizes[split - 1 :]) <= 262144:
@@ -203,7 +207,8 @@ def _dense_scan(kernel, space, resolution):
     [
         ("planar_epr", (90, 45, 30, 22.5, 13, 7.5)),
         ("ghz_angles", (45, 22.5, 11, 7.5)),
-        ("vectors3d", (90, 45, 36, 29)),
+        # 90.00000001 and 60.00000001 end the polar axes on the clamped 180 degrees
+        ("vectors3d", (90, 45, 36, 29, 90.00000001, 60.00000001)),
     ],
 )
 def test_grid_search_matches_the_dense_scan_bit_for_bit(monkeypatch, kind, resolutions_deg):
@@ -319,13 +324,14 @@ def test_rotation_quotient_evaluates_only_the_kept_orbits(monkeypatch, kernel_po
     assert abs(120 * math.radians(3.0) - 2.0 * math.pi) == math.ulp(2.0 * math.pi)
     assert scanned_points("chsh", "planar_epr", 3, 120) == 3 * 120**2 + 4 * 119
     assert kernel_points[:-1] == [120**2, 2 * 120**2, 4 * 119]
-    # the table's size bounds a batch, not BLOCK_SIZE: 24 kept orbits at 30
-    # degrees take batches of 144 // 24 = 6 shifts even with blocks of 7 points;
+    # the table's size bounds a batch, not BLOCK_SIZE: 28 kept orbits at 30
+    # degrees take batches of 144 // 28 = 5 shifts even with blocks of 7 points;
     # a head's 12 * 12 points of c and d then take blocks of 7 and 5, one head
-    # at a time, and 6 of the 12 heads are scanned
+    # at a time, and 6 of the 12 heads are scanned.  The 28 are the points at or
+    # above the floor when their block came, 4 of them below the final one
     monkeypatch.setattr(search, "BLOCK_SIZE", 7)
-    assert scanned_points("chsh", "planar_epr", 30, 12) == 6 * 12**2 + 24 * 11
-    assert kernel_points[:-1] == [7, 5] * (6 * 12) + [24 * 6, 24 * 5]
+    assert scanned_points("chsh", "planar_epr", 30, 12) == 6 * 12**2 + 28 * 11
+    assert kernel_points[:-1] == [7, 5] * (6 * 12) + [28 * 5, 28 * 5, 28]
 
 
 @pytest.mark.parametrize(
@@ -454,7 +460,7 @@ def test_each_settings_declaration_meets_its_premises(kind):
 
 def _lattice_axes(space, resolution):
     return [
-        lo + resolution * np.arange(_axis_count(lo, hi, wrapped, resolution)[0])
+        np.minimum(lo + resolution * np.arange(_axis_count(lo, hi, wrapped, resolution)[0]), hi)
         for (lo, hi), wrapped in zip(space.bounds, space.wrap)
     ]
 
@@ -531,21 +537,36 @@ def test_every_symmetry_moves_the_settings_alike_and_fixes_the_origin(kind):
         assert len(rows) == 1  # z -> -z alone
 
 
+def _wrap_kernels(monkeypatch, wrap):
+    """Give grid_search wrap(kernel) for each kernel it looks up, with the kernel's bound.
+
+    grid_search finds a kernel's bound by the kernel it holds, so the wrapper
+    is entered in inequalities._PAIR_BOUNDS too, and the bound skip still runs.
+    """
+
+    def wrapped_kernel(inequality_id, family=None):
+        kernel = inequality_kernel(inequality_id, family)
+        wrapped = wrap(kernel)
+        if kernel in inequalities._PAIR_BOUNDS:
+            monkeypatch.setitem(inequalities._PAIR_BOUNDS, wrapped, inequalities._PAIR_BOUNDS[kernel])
+        return wrapped
+
+    monkeypatch.setattr(search, "inequality_kernel", wrapped_kernel)
+
+
 @pytest.fixture
 def kernel_points(monkeypatch):
     """The point count of every kernel call grid_search makes, in call order."""
     evaluated = []
 
-    def counting_kernel(inequality_id, family=None):
-        kernel = inequality_kernel(inequality_id, family)
-
+    def counting(kernel):
         def counted(*terms):
             evaluated.append(np.broadcast(*terms).size)
             return kernel(*terms)
 
         return counted
 
-    monkeypatch.setattr(search, "inequality_kernel", counting_kernel)
+    _wrap_kernels(monkeypatch, counting)
     return evaluated
 
 
@@ -648,9 +669,7 @@ def test_an_image_beyond_delta_over_8_hands_the_rest_to_the_plain_scan(monkeypat
     expected = grid_search("chsh", VECTORS, resolution)
     evaluated = []
 
-    def offset_kernel(inequality_id, family=None):
-        kernel = inequality_kernel(inequality_id, family)
-
+    def offsetting(kernel):
         def offset(*terms):
             lhs, rhs = kernel(*terms)
             evaluated.append(np.size(lhs))
@@ -661,7 +680,7 @@ def test_an_image_beyond_delta_over_8_hands_the_rest_to_the_plain_scan(monkeypat
 
         return offset
 
-    monkeypatch.setattr(search, "inequality_kernel", offset_kernel)
+    _wrap_kernels(monkeypatch, offsetting)
     assert grid_search("chsh", VECTORS, resolution) == expected
     # the box (3 * 5 of its 5 * 8 values of theta_a and phi_b) in groups of 1,
     # 2, 4, 8 and 16 (a, b) heads of the 5**2 * 8**2 points of c and d, one
@@ -739,9 +758,7 @@ def test_a_margin_above_its_bound_hands_the_whole_lattice_to_the_unbounded_plain
     assert (expected.best_params, expected.best_verdict, expected.evaluations) == dense
     calls = []  # (ndim, points) of every kernel call
 
-    def raised_kernel(inequality_id, family=None):
-        kernel = inequality_kernel(inequality_id, family)
-
+    def raising(kernel):
         def raised(*terms):
             lhs, rhs = kernel(*terms)
             if len(calls) == failing_call:
@@ -752,7 +769,7 @@ def test_a_margin_above_its_bound_hands_the_whole_lattice_to_the_unbounded_plain
 
         return raised
 
-    monkeypatch.setattr(search, "inequality_kernel", raised_kernel)
+    _wrap_kernels(monkeypatch, raising)
     assert grid_search(inequality_id, space, resolution) == expected
     assert calls[failing_call][0] > 1  # an open-mesh block
     # the open-mesh blocks after it cover the whole lattice; the last call is
@@ -761,17 +778,11 @@ def test_a_margin_above_its_bound_hands_the_whole_lattice_to_the_unbounded_plain
     assert sum(size for _, size in calls[failing_call + 1 : -1]) == total
 
 
-# kernel calls of images: the first slice's three maps, then the second
-# slice's first map (tripwire) or all three (cost rule)
-@pytest.mark.parametrize("failure, image_calls", [("tripwire", 4), ("cost rule", 6)])
-def test_a_premise_failing_after_a_mid_box_slice_hands_the_rest_to_the_plain_scan(
-    monkeypatch, failure, image_calls
-):
+def test_a_premise_failing_after_a_mid_box_slice_hands_the_rest_to_the_plain_scan(monkeypatch):
     # with blocks of 4096 points the 36 degree general scan images its kept
     # points in slices of the pair table's 60 * 60 = 3600 entries while it
-    # scans the box, one map per kernel call; then either the first image of
-    # the second slice is offset past delta / 8, or the cost rule admits the
-    # two slices and one point more
+    # scans the box, one map per kernel call; the first image of the second
+    # slice is offset past delta / 8
     resolution = math.radians(36.0)
     coords, total = _dense_scan(inequality_kernel("general"), VECTORS, resolution)
     box = total // (6 * 10) * 3 * 6  # theta_a <= 90 and phi_b <= 180 degrees
@@ -781,31 +792,68 @@ def test_a_premise_failing_after_a_mid_box_slice_hands_the_rest_to_the_plain_sca
     assert (expected.best_params, expected.best_verdict, expected.evaluations) == dense
     calls = []  # (ndim, points) of every kernel call
 
-    def offset_kernel(inequality_id, family=None):
-        kernel = inequality_kernel(inequality_id, family)
-
+    def offsetting(kernel):
         def offset(*terms):
             lhs, rhs = kernel(*terms)
             calls.append((np.ndim(lhs), np.size(lhs)))
             first_of_second_slice = [dim for dim, _ in calls].count(1) == 4
-            if failure == "tripwire" and calls[-1][0] == 1 and first_of_second_slice:
+            if calls[-1][0] == 1 and first_of_second_slice:
                 lhs = lhs.copy()
                 lhs[0] += search._SHIFT_DELTA / 4.0
             return lhs, rhs
 
         return offset
 
-    monkeypatch.setattr(search, "inequality_kernel", offset_kernel)
-    if failure == "cost rule":
-        monkeypatch.setattr(search, "_orbit_limit", lambda sizes, box, maps: 2 * 3600 + 1)
+    _wrap_kernels(monkeypatch, offsetting)
     assert grid_search("general", VECTORS, resolution) == expected
+    # the first slice's three maps, then the second slice's first map
     images = [k for k, (dim, _) in enumerate(calls) if dim == 1]
-    assert [calls[k][1] for k in images] == [3600] * image_calls
+    assert [calls[k][1] for k in images] == [3600] * 4
     # the pass stopped partway through the box; the open-mesh blocks then
     # cover the whole lattice, and the last call is the optimum's evaluate_point
     assert sum(size for dim, size in calls[: images[-1]] if dim > 1) < box
     assert all(dim > 1 for dim, _ in calls[images[-1] + 1 : -1])
     assert sum(size for _, size in calls[images[-1] + 1 : -1]) == total
+
+
+def test_the_kept_orbit_pass_evaluates_at_most_the_group_order_times_the_box(monkeypatch):
+    # general at 45 degrees on vectors3d: the box theta_a <= 90, phi_b <= 180
+    # degrees holds 3 of the 5 polar and 5 of the 8 azimuth values, 120 000 of
+    # the 320 000 points, and the group of z -> -z and y -> -y has 4 maps.  One
+    # pass scans the box and images each of its K = 24 338 kept points under
+    # the three non-identity maps, within the 4 * 120 000 points bounded
+    # before the scan starts
+    resolution = math.radians(45.0)
+    coords, total = _dense_scan(inequality_kernel("general"), VECTORS, resolution)
+    box = total // (5 * 8) * 3 * 5
+    passes = []
+    scan = search._lattice_maximum
+
+    def counted_pass(*args, **kwargs):
+        passes.append(args)
+        return scan(*args, **kwargs)
+
+    calls = []  # (ndim, points) of every kernel call
+
+    def recording(kernel):
+        def recorded(*terms):
+            lhs, rhs = kernel(*terms)
+            calls.append((np.ndim(lhs), np.size(lhs)))
+            return lhs, rhs
+
+        return recorded
+
+    monkeypatch.setattr(search, "_lattice_maximum", counted_pass)
+    _wrap_kernels(monkeypatch, recording)
+    result = grid_search("general", VECTORS, resolution)
+    assert (result.best_params, result.best_verdict, result.evaluations) == (
+        coords, evaluate_point("general", VECTORS, coords), total
+    )
+    assert len(passes) == 1
+    # the last call is the reported optimum's evaluate_point
+    assert sum(size for dim, size in calls[:-1] if dim > 1) == box == 120000
+    assert sum(size for dim, size in calls[:-1] if dim == 1) == 3 * 24338
+    assert sum(size for _, size in calls[:-1]) <= 4 * box
 
 
 def test_the_reflection_pass_holds_at_most_a_block_of_kept_points_beyond_the_plain_scan(

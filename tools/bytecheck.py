@@ -93,9 +93,9 @@ EDGE_ARGV = (
     (*_SEARCH, "vectors3d", "--resolution", "28"),
     (*_SEARCH, "planar-epr", "--resolution", "7"),
     ("search", "--inequality", "dispersion_free", "--space", "ghz-angles", "--resolution", "90"),
-    # a failed premise rescans the whole lattice: the cost rule on the 320 000
-    # points of general at 45 degrees, the largest such rescan measured, and the
-    # image tripwire of chsh at 180 degrees above
+    # the general bound's reflection pass at 45 degrees: the 120 000 box points
+    # and the images of K = 24 338 kept points, in one pass of the 320 000-point
+    # lattice without a rescan
     ("search", "--inequality", "general", "--space", "vectors3d", "--resolution", "45"),
     # roundoff in the axis count puts a last polar step past 180 degrees, which
     # the lattice clamps to 180, so refinement starts inside the bounds
