@@ -96,10 +96,11 @@ head, one index on each of them, fixes E(A,B) for the whole (c, d) tail
 after it.  A scan with a bound, the plain scan and the kept-orbit box alike,
 takes its heads in descending bound + epsilon, in groups of 1, 2, 4, ...
 within a block, and stops before a group whose first bound + epsilon is below
-the best margin so far; in the box, below the floor, the box maximum so far
-less 2 delta.  Every point of a skipped head has a margin below that, so it
-neither beats nor ties the best, and in the box it would not have been kept:
-the kept points, their images and the result are the full scan's.  A
+the floor: the maximum so far less 2 delta, of the lattice in the plain scan
+and of the box in the pass.  Every point of a skipped head has a margin below
+the floor, so it neither beats nor ties the best, which is at least the
+maximum so far, and in the box it would not have been kept: the kept points,
+their images and the result are the full scan's.  A
 group's heads go in ascending order, so a block's first maximum is still
 its least index.  general has no bound and keeps the blocks above.
 
@@ -288,71 +289,6 @@ def evaluate_point(inequality_id: str, space: ParameterSpace, coords) -> Inequal
 # Grid search.
 
 
-def _open_mesh_blocks(kernel, table, axes, bound=None, slack=0.0):
-    """(rows, margins) of each open-mesh block the scan evaluates.
-
-    axes are lattice index axes, and a block's correlations are the table's at
-    the flat settings of its open mesh.  Row r of a block's margins covers the
-    linear indices, in the lattice the axes span, from rows[r] on; rows ascend.
-    A block's tail is the trailing axes whose product fits in BLOCK_SIZE plus
-    one chunk of the axis before them.  Without a bound, blocks run over the
-    leading axes, then the chunk starts, in lexicographic order, one row each.
-    With a bound (the module docstring), the leading table.heads axes are a
-    and b's, and their heads go in descending bound + epsilon, ties
-    lexicographic: in groups of 1, 2, 4, ... heads, doubling while a group's
-    tails fit in BLOCK_SIZE, a group's heads in ascending order, one row each,
-    the whole tail in one block; or, with the tail over BLOCK_SIZE, one head
-    at a time, over the tail's blocks.  The blocks stop before a group whose
-    bound + epsilon is below the floor, which starts at -inf and rises to each
-    block's maximum less slack; a block row above its head's bound + epsilon
-    raises _PremiseFailure.
-    """
-    heads = 0 if bound is None else table.heads
-    tail_axes = axes[heads:]
-    cut = len(tail_axes) - 1
-    inner = 1
-    while cut > 0 and inner * len(tail_axes[cut]) <= BLOCK_SIZE:
-        inner *= len(tail_axes[cut])
-        cut -= 1
-    chunk = BLOCK_SIZE // inner
-    tail = math.prod(len(axis) for axis in tail_axes)
-    if bound is None:
-        order, limits, indices = np.zeros(1, dtype=np.intp), None, []
-    else:
-        head_shape = tuple(len(axis) for axis in axes[:heads])
-        lexicographic = np.unravel_index(np.arange(math.prod(head_shape)), head_shape)
-        indices = [axis[i] for axis, i in zip(axes, lexicographic)]
-        # E(A,B) of every head: c and d's indices, held at 0, do not enter it
-        e_ab = table.correlations(table.flat_settings(indices + [0] * len(tail_axes)))[4]
-        limits = bound(e_ab) + _BOUND_EPSILON
-        order = np.argsort(-limits, kind="stable")
-    floor = -math.inf
-    first, size = 0, 1
-    while first < order.size:
-        if limits is not None and limits[order[first]] < floor:
-            return  # no point of this or a later head beats or ties the best, or is kept
-        group = np.sort(order[first : first + size])
-        first += size
-        if 2 * size * tail <= BLOCK_SIZE:
-            size *= 2
-        head = [index[group].reshape(-1, *[1] * (len(tail_axes) - cut)) for index in indices]
-        start_of_row = 0
-        for *mid, start in itertools.product(*tail_axes[:cut], range(0, len(tail_axes[cut]), chunk)):
-            block_axes = [tail_axes[cut][start : start + chunk], *tail_axes[cut + 1 :]]
-            shape = (group.size,) * (heads > 0) + tuple(len(axis) for axis in block_axes)
-            settings = table.flat_settings((*head, *mid, *np.ix_(*block_axes)))
-            # lhs and rhs are freed once the margins exist, so only the margins outlive the block
-            margin = np.broadcast_to(np.subtract(*kernel(*table.correlations(settings))), shape)
-            rows = group * tail + start_of_row
-            start_of_row += margin.size // group.size
-            if limits is not None:
-                tops = margin.reshape(group.size, -1).max(axis=1)
-                if (tops > limits[group]).any():
-                    raise _PremiseFailure
-                floor = max(floor, float(tops.max()) - slack)
-            yield rows, margin
-
-
 class _PremiseFailure(Exception):
     """A premise of the bound skip or the kept-orbit pass failed (module docstring)."""
 
@@ -447,49 +383,93 @@ def _positions(rows, margin, flat):
     return rows[flat // width] + flat % width
 
 
-def _block_top(rows, margin, shape, sizes):
-    """(margin, -linear lattice index) of a block's first maximum.
-
-    The block's rows (_open_mesh_blocks) cover positions of the sub-lattice
-    of that shape at the lattice's origin; they ascend, so its first maximum
-    has the least position.
-    """
-    index = int(np.argmax(margin))
-    local = np.unravel_index(int(_positions(rows, margin, index)), shape)
-    return float(margin.flat[index]), -int(np.ravel_multi_index(local, sizes))
-
-
-def _lattice_maximum(kernel, table, sizes, orbits, bound=None):
+def _lattice_maximum(kernel, table, orbits, bound=None):
     """(margin, -linear index) of the lattice point with the largest computed margin.
 
-    Of equal margins the smallest index wins.  With orbits, the (box, rows)
-    of _orbits, the kept-orbit pass of the module docstring; without, the
-    plain scan.  With a bound, both skip the (a, b) heads it rules out.  The
-    pass evaluates at most len(rows) + 1 times the box's points.  Either
-    raises _PremiseFailure where a premise fails.
+    Of equal margins the smallest index wins.  Without orbits, the plain scan
+    of the lattice of table.sizes; with orbits, the (box, rows) of _orbits,
+    the kept-orbit pass of the module docstring.  Either scans open-mesh
+    blocks, the trailing axes whose product fits in BLOCK_SIZE plus one chunk
+    of the axis before them.  Row r of a block's margins covers the linear
+    indices, in the lattice or box scanned, from block_rows[r] on; rows
+    ascend, so a block's first maximum has the least index.  Without a bound,
+    blocks run over the leading axes, then the chunk starts, in lexicographic
+    order, one row each.  With a bound (the module docstring), the leading
+    table.heads axes are a and b's, and their heads go in descending bound +
+    epsilon, ties lexicographic: in groups of 1, 2, 4, ... heads, doubling
+    while a group's tails fit in BLOCK_SIZE, a group's heads in ascending
+    order, one row each, the whole tail in one block; or, with the tail over
+    BLOCK_SIZE, one head at a time, over the tail's blocks.  The scan stops
+    before a group whose bound + epsilon is below the floor, the largest
+    block maximum so far less 2 delta.  The pass evaluates at most
+    len(rows) + 1 times the box's points.  Raises _PremiseFailure where a
+    premise fails: a block row above its head's bound + epsilon, or an image
+    past delta / 8 (_fold_images).
     """
-    if orbits is None:
-        blocks = _open_mesh_blocks(kernel, table, [np.arange(n) for n in sizes], bound)
-        return max(_block_top(rows, margin, sizes, sizes) for rows, margin in blocks)
-    box, rows = orbits
+    sizes = table.sizes
+    box, rows = (sizes, None) if orbits is None else orbits
+    axes = [np.arange(count) for count in box]
+    heads = 0 if bound is None else table.heads
+    tail_axes = axes[heads:]
+    cut = len(tail_axes) - 1
+    inner = 1
+    while cut > 0 and inner * len(tail_axes[cut]) <= BLOCK_SIZE:
+        inner *= len(tail_axes[cut])
+        cut -= 1
+    chunk = BLOCK_SIZE // inner
+    tail = math.prod(len(axis) for axis in tail_axes)
+    if bound is None:
+        order, limits, indices = np.zeros(1, dtype=np.intp), None, []
+    else:
+        head_shape = tuple(len(axis) for axis in axes[:heads])
+        lexicographic = np.unravel_index(np.arange(math.prod(head_shape)), head_shape)
+        indices = [axis[i] for axis, i in zip(axes, lexicographic)]
+        # E(A,B) of every head: c and d's indices, held at 0, do not enter it
+        e_ab = table.correlations(table.flat_settings(indices + [0] * len(tail_axes)))[4]
+        limits = bound(e_ab) + _BOUND_EPSILON
+        order = np.argsort(-limits, kind="stable")
     # a slice: a pair table's worth of kept points, one map's images per kernel call,
     # and at least a sixteenth of a block, so the small planar and ghz tables image
     # their benchmark scans' K (15 338 at planar 5 degrees) in one slice after the box
     slice_size = max(table.values.size, BLOCK_SIZE // 16)
-    box_axes = [np.arange(count) for count in box]
-    blocks = _open_mesh_blocks(kernel, table, box_axes, bound, slack=2.0 * _SHIFT_DELTA)
     best = (-math.inf, 0)
     floor = -math.inf
     kept = []  # (box positions, margins) of kept points not yet imaged, one pair per block
-    for block_rows, margin in blocks:
-        top = _block_top(block_rows, margin, box, sizes)
-        best = max(best, top)
-        floor = max(floor, top[0] - 2.0 * _SHIFT_DELTA)
-        if sum(m.size for _, m in kept) >= slice_size:
-            best = _fold_images(kernel, table, rows, box, kept, slice_size, best)
-        fresh = np.flatnonzero(margin >= floor)
-        kept.append((_positions(block_rows, margin, fresh), margin.flat[fresh]))
-        del fresh  # freed before the next block: 1.6 MB less peak RSS over the lattice-3d scans
+    first, size = 0, 1
+    # past the floor no point of this or a later head beats or ties the best, or is kept
+    while first < order.size and (limits is None or limits[order[first]] >= floor):
+        group = np.sort(order[first : first + size])
+        first += size
+        if 2 * size * tail <= BLOCK_SIZE:
+            size *= 2
+        head = [index[group].reshape(-1, *[1] * (len(tail_axes) - cut)) for index in indices]
+        start_of_row = 0
+        for *mid, start in itertools.product(*tail_axes[:cut], range(0, len(tail_axes[cut]), chunk)):
+            block_axes = [tail_axes[cut][start : start + chunk], *tail_axes[cut + 1 :]]
+            shape = (group.size,) * (heads > 0) + tuple(len(axis) for axis in block_axes)
+            settings = table.flat_settings((*head, *mid, *np.ix_(*block_axes)))
+            # lhs and rhs are freed once the margins exist, so only the margins outlive the block
+            margin = np.broadcast_to(np.subtract(*kernel(*table.correlations(settings))), shape)
+            block_rows = group * tail + start_of_row
+            start_of_row += margin.size // group.size
+            if limits is not None:
+                tops = margin.reshape(group.size, -1).max(axis=1)
+                if (tops > limits[group]).any():
+                    raise _PremiseFailure
+            flat = int(np.argmax(margin))
+            local = np.unravel_index(int(_positions(block_rows, margin, flat)), box)
+            top = float(margin.flat[flat])
+            best = max(best, (top, -int(np.ravel_multi_index(local, sizes))))
+            floor = max(floor, top - 2.0 * _SHIFT_DELTA)
+            if rows is None:
+                continue
+            if sum(m.size for _, m in kept) >= slice_size:
+                best = _fold_images(kernel, table, rows, box, kept, slice_size, best)
+            fresh = np.flatnonzero(margin >= floor)
+            kept.append((_positions(block_rows, margin, fresh), margin.flat[fresh]))
+            del fresh  # freed before the next block: 1.6 MB less peak RSS over the lattice-3d scans
+    if rows is None:
+        return best
     return _fold_images(kernel, table, rows, box, kept, slice_size, best)
 
 
@@ -550,7 +530,8 @@ def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) ->
     result.  On a lattice that closes the axes of one of the space's
     symmetries, the kept-orbit pass of the module docstring skips the orbits
     that cannot hold the optimum, and dispersion_free and chsh scans skip the
-    (a, b) heads their bound rules out; either returns the identical result,
+    (a, b) heads whose bound + epsilon is below the floor, the maximum so far
+    less 2 delta; either returns the identical result,
     and evaluations always counts every lattice point.  The verdict is labelled
     at VIOLATION_TOL, as refine's is; a caller with another tolerance
     relabels it with make_verdict.
@@ -587,11 +568,11 @@ def grid_search(inequality_id: str, space: ParameterSpace, resolution: float) ->
     table = _PairTable(space, axes)
     bound = inequalities._PAIR_BOUNDS.get(kernel)
     try:
-        _, position = _lattice_maximum(kernel, table, sizes, orbits, bound)
+        _, position = _lattice_maximum(kernel, table, orbits, bound)
     except _PremiseFailure:
         position = None  # rescanned below, once the traceback frees the failed pass's arrays
     if position is None:  # the whole lattice goes to the plain scan without the bound
-        _, position = _lattice_maximum(kernel, table, sizes, None)
+        _, position = _lattice_maximum(kernel, table, None)
     best_index = np.unravel_index(-position, sizes)
     best_coords = tuple(float(axis[i]) for axis, i in zip(axes, best_index))
     best_verdict = evaluate_point(inequality_id, space, best_coords)

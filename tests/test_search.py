@@ -162,11 +162,12 @@ def test_grid_result_is_independent_of_block_size(monkeypatch):
         assert other.evaluations == coarse.evaluations
 
 
-def _dense_scan(kernel, space, resolution):
+def _dense_scan(kernels, space, resolution):
     """Lattice scan over dense meshgrid blocks, kept as the open-mesh scan's reference.
 
-    Returns the best coordinates and the lattice size; the inequality id only
-    labels the verdict, so one scan serves every id sharing a kernel.
+    Returns ({kernel: best coordinates}, lattice size); each block's
+    correlations serve every one of kernels.  The inequality id only labels
+    the verdict, so one scan serves every id sharing a kernel.
     """
     sizes = [
         _axis_count(lo, hi, wrapped, resolution)[0]
@@ -185,21 +186,30 @@ def _dense_scan(kernel, space, resolution):
     tail_shape = tuple(sizes[split:])
     tail_flat = tuple(m.ravel() for m in np.meshgrid(*tail_axes, indexing="ij"))
 
-    best_margin = -math.inf
-    best_coords = None
+    best = {kernel: (-math.inf, None) for kernel in kernels}
     for prefix in itertools.product(*axes[:split]):
         head = tuple(float(v) for v in prefix)
-        lhs, rhs = kernel(*space.correlations(head + tail_flat))
-        margin = lhs - rhs
-        index = int(np.argmax(margin))
-        candidate = float(margin[index])
-        if candidate > best_margin:
-            offsets = np.unravel_index(index, tail_shape)
-            best_margin = candidate
-            best_coords = head + tuple(
-                float(axis[offset]) for axis, offset in zip(tail_axes, offsets)
-            )
-    return best_coords, math.prod(sizes)
+        terms = space.correlations(head + tail_flat)
+        for kernel in best:
+            lhs, rhs = kernel(*terms)
+            margin = lhs - rhs
+            index = int(np.argmax(margin))
+            candidate = float(margin[index])
+            if candidate > best[kernel][0]:
+                offsets = np.unravel_index(index, tail_shape)
+                best[kernel] = candidate, head + tuple(
+                    float(axis[offset]) for axis, offset in zip(tail_axes, offsets)
+                )
+    return {kernel: coords for kernel, (_, coords) in best.items()}, math.prod(sizes)
+
+
+def _admitted(space):
+    """{inequality id: kernel} of the ids a space's family admits."""
+    return {
+        inequality_id: kernel
+        for inequality_id, (kernel, family) in INEQUALITIES.items()
+        if family in (None, space.family)
+    }
 
 
 @pytest.mark.parametrize(
@@ -213,20 +223,13 @@ def _dense_scan(kernel, space, resolution):
 )
 def test_grid_search_matches_the_dense_scan_bit_for_bit(monkeypatch, kind, resolutions_deg):
     space = SPACES[kind]
-    admitted = [
-        inequality_id
-        for inequality_id, (_, family) in INEQUALITIES.items()
-        if family in (None, space.family)
-    ]
+    admitted = _admitted(space)
     default_block = search.BLOCK_SIZE
     for degrees in resolutions_deg:
         resolution = math.radians(degrees)
-        scans = {}
-        for inequality_id in admitted:
-            kernel = inequality_kernel(inequality_id)
-            if kernel not in scans:
-                scans[kernel] = _dense_scan(kernel, space, resolution)
-            coords, total = scans[kernel]
+        scans, total = _dense_scan(admitted.values(), space, resolution)
+        for inequality_id, kernel in admitted.items():
+            coords = scans[kernel]
             expected = (coords, evaluate_point(inequality_id, space, coords), total)
             # blocks far below the default only on lattices of a few thousand points:
             # one-point blocks cost about 30 us each
@@ -268,13 +271,10 @@ def test_rotation_quotient_matches_the_dense_scan_bit_for_bit(monkeypatch, kind,
     space = SPACES[kind]
     resolution = math.radians(degrees)
     default_block = search.BLOCK_SIZE
-    scans = {}
-    for inequality_id, (kernel, family) in INEQUALITIES.items():
-        if family not in (None, space.family):
-            continue
-        if kernel not in scans:
-            scans[kernel] = _dense_scan(kernel, space, resolution)
-        coords, total = scans[kernel]
+    admitted = _admitted(space)
+    scans, total = _dense_scan(admitted.values(), space, resolution)
+    for inequality_id, kernel in admitted.items():
+        coords = scans[kernel]
         expected = (coords, evaluate_point(inequality_id, space, coords), total)
         for block_size in (4096, default_block):
             monkeypatch.setattr(search, "BLOCK_SIZE", block_size)
@@ -610,24 +610,33 @@ def test_reflection_pass_matches_the_dense_scan_bit_for_bit(monkeypatch, degrees
     box, _ = search._orbits(VECTORS.settings, VECTORS.symmetries, sizes, closing)
     assert box[0] < len(axes[0]) and box[2] < len(axes[2])
 
-    table = search._PairTable(VECTORS, axes)
+    def first_block_axes(orbits):
+        # general has no bound, so its first kernel call is an open-mesh block over all 7 axes
+        calls = []
 
-    def first_block_axes(counts):
-        index_axes = [np.arange(count) for count in counts]
-        _, margin = next(search._open_mesh_blocks(inequality_kernel("chsh"), table, index_axes))
-        return margin.ndim
+        def recording(kernel):
+            def recorded(*terms):
+                lhs, rhs = kernel(*terms)
+                calls.append(np.ndim(lhs))
+                return lhs, rhs
+
+            return recorded
+
+        with monkeypatch.context() as patch:
+            _wrap_kernels(patch, recording)
+            if not orbits:
+                patch.setattr(search, "_orbits", lambda *args: None)
+            grid_search("general", VECTORS, resolution)
+        return calls[0]
 
     # at cut_block the box's blocks split another axis than the whole lattice's do
     default_block = search.BLOCK_SIZE
     monkeypatch.setattr(search, "BLOCK_SIZE", cut_block)
-    assert first_block_axes(box) != first_block_axes(sizes)
-    scans = {}
-    for inequality_id, (kernel, family) in INEQUALITIES.items():
-        if family not in (None, VECTORS.family):
-            continue
-        if kernel not in scans:
-            scans[kernel] = _dense_scan(kernel, VECTORS, resolution)
-        coords, total = scans[kernel]
+    assert first_block_axes(orbits=True) != first_block_axes(orbits=False)
+    admitted = _admitted(VECTORS)
+    scans, total = _dense_scan(admitted.values(), VECTORS, resolution)
+    for inequality_id, kernel in admitted.items():
+        coords = scans[kernel]
         expected = (coords, evaluate_point(inequality_id, VECTORS, coords), total)
         for block_size in (4096, cut_block, default_block):
             monkeypatch.setattr(search, "BLOCK_SIZE", block_size)
@@ -662,6 +671,25 @@ def test_reflection_pass_evaluates_the_box_and_the_kept_images(kernel_points):
     kernel_points.clear()
     grid_search("general", VECTORS, resolution)
     assert sum(kernel_points) - 1 == box + 540830 * 3
+
+
+def test_the_bounded_benchmark_scans_evaluate_the_pinned_heads(kernel_points):
+    # chsh on ghz_angles at 2.5 degrees takes the rotation quotient: the
+    # first-index-0 slab's heads of 72 * 72 points of c and d in groups of 1
+    # and 2, then the other 71 shifts of K = 4 kept orbits in one call
+    assert grid_search("chsh", SPACES["ghz_angles"], math.radians(2.5)).evaluations == 72**4
+    # the last call is the reported optimum's evaluate_point
+    assert kernel_points[:-1] == [5184, 10368, 284]
+    # 28 to 29.5 degrees close no vectors3d axis, so chsh takes the plain scan:
+    # its 7 * 7 * 12 (a, b) heads, each the 84 * 84 points of c and d, in
+    # descending bound and in groups of 1, 2, 4, ..., 32 heads (64 would not
+    # fit in 262144 points), until no bound reaches the floor
+    groups = [7056 * 2**k for k in range(6)]
+    for degrees, last in ((28, 1), (28.5, 1), (29, 2), (29.5, 2)):
+        kernel_points.clear()
+        result = grid_search("chsh", VECTORS, math.radians(degrees))
+        assert result.evaluations == 7**4 * 12**3 == 4148928
+        assert kernel_points[:-1] == groups + [225792] * last, degrees
 
 
 def test_an_image_beyond_delta_over_8_hands_the_rest_to_the_plain_scan(monkeypatch):
@@ -752,7 +780,9 @@ def test_a_margin_above_its_bound_hands_the_whole_lattice_to_the_unbounded_plain
     # its head's bound, in the first block or the third
     space = SPACES[kind]
     resolution = math.radians(degrees)
-    coords, total = _dense_scan(inequality_kernel(inequality_id), space, resolution)
+    kernel = inequality_kernel(inequality_id)
+    scans, total = _dense_scan([kernel], space, resolution)
+    coords = scans[kernel]
     expected = grid_search(inequality_id, space, resolution)
     dense = (coords, evaluate_point(inequality_id, space, coords), total)
     assert (expected.best_params, expected.best_verdict, expected.evaluations) == dense
@@ -784,7 +814,9 @@ def test_a_premise_failing_after_a_mid_box_slice_hands_the_rest_to_the_plain_sca
     # scans the box, one map per kernel call; the first image of the second
     # slice is offset past delta / 8
     resolution = math.radians(36.0)
-    coords, total = _dense_scan(inequality_kernel("general"), VECTORS, resolution)
+    kernel = inequality_kernel("general")
+    scans, total = _dense_scan([kernel], VECTORS, resolution)
+    coords = scans[kernel]
     box = total // (6 * 10) * 3 * 6  # theta_a <= 90 and phi_b <= 180 degrees
     monkeypatch.setattr(search, "BLOCK_SIZE", 4096)
     expected = grid_search("general", VECTORS, resolution)
@@ -824,7 +856,9 @@ def test_the_kept_orbit_pass_evaluates_at_most_the_group_order_times_the_box(mon
     # the three non-identity maps, within the 4 * 120 000 points bounded
     # before the scan starts
     resolution = math.radians(45.0)
-    coords, total = _dense_scan(inequality_kernel("general"), VECTORS, resolution)
+    kernel = inequality_kernel("general")
+    scans, total = _dense_scan([kernel], VECTORS, resolution)
+    coords = scans[kernel]
     box = total // (5 * 8) * 3 * 5
     passes = []
     scan = search._lattice_maximum
