@@ -59,15 +59,21 @@ worth is kept, it evaluates every non-identity image of those points and
 drops them, and after the last block it images the rest, so it never holds
 all of the kept points.  A slice is the pair table's size, or BLOCK_SIZE /
 16 where that is more.  A map moves every setting alike, so it permutes
-the S settings of the pair table: each non-identity
-map of G is one row of S flat setting indices, the outer product of its
-coordinates' index images, built once per lattice.  An image's four
-settings are 1-d takes from its map's row at the kept point's flat
-settings, and its six pair values the table's flat gather, the entries the
-blocks read; an image that ties the best margin has its lattice index read
-back from its four settings.  The images go to the kernel in batches of
-whole maps, as many as fit in the table's size (or one map), and each batch
-folds into the maximum as it comes.  This is exact, for every symmetry.
+the S settings of the pair table: each non-identity map g of G is one row
+of S flat setting indices, the outer product of its coordinates' index
+images, built once per lattice.  A slice of at least S * S points, the
+table's entries, computes its points' six pair indices s * S + t once and
+takes one map at a time through g's table values_g[s * S + t] =
+values[g(s) * S + g(t)], built for the slice and dropped with it: an image
+is six takes from values_g, or from its negation at the four cross pairs,
+since E(A,C) = -pair(a, c).  A smaller slice would spend more on the tables
+than on its images, so it gathers: an image's four settings are 1-d takes
+from its map's row at the kept point's flat settings, and its six pair
+values the table's flat gather, in batches of whole maps, as many as fit in
+the table's size.  Either way an image's pair values are copies of the
+entries the blocks read; an image that ties the best margin has its lattice
+index read back from its four settings, and each kernel call folds into the
+maximum as it comes.  This is exact, for every symmetry.
 Let M be the box maximum.  The point p* the full scan reports has margin at
 least M and an image q in the box with margin at least M - delta.  The floor
 never exceeds M - 2 delta, so q is kept and its images, p* among them, are
@@ -109,12 +115,12 @@ computed E(A,B).  Let u = 2^-53, and take np.sin and np.cos within 4 ulp.  A
 table entry is then within eta = 2^-46 = 128 u of the exact dot product of
 the unit vectors at its two settings' angles: 8 u from the trig, 2 pi u from
 the rounded angle difference on the planar spaces, and at most 108 u through
-the products and sums of _spherical_dot.  At the exact dot products the
-margin obeys its bound.  The computed margin exceeds the exact one at the
-table's entries by at most the kernel's rounding, under 140 u with every
-|E| <= 1 + eta, and that in turn the margin at the exact dot products by at
-most L eta: L = 40 for dispersion_free (2 |combination| <= 8 on each of four
-terms, 8 on the E(A,B) E(C,D) term) and 4 for CHSH.  Clipping E(A,B) to
+the products and sums of _spherical_vector and _dot.  At the exact dot
+products the margin obeys its bound.  The computed margin exceeds the exact
+one at the table's entries by at most the kernel's rounding, under 140 u
+with every |E| <= 1 + eta, and that in turn the margin at the exact dot
+products by at most L eta: L = 40 for dispersion_free (2 |combination| <= 8
+on each of four terms, 8 on the E(A,B) E(C,D) term) and 4 for CHSH.  Clipping E(A,B) to
 [-1, 1] moves it no further from the exact dot product, which lies there, so
 the bound at the clipped value is below the bound at the exact one by at
 most 4 eta (dispersion_free) or, sqrt being 1/2-Hoelder, 2 sqrt(2 eta) =
@@ -181,8 +187,10 @@ class ParameterSpace:
     a coordinate held at the origin, where its bounds start, so that angle 0
     and lattice index 0 name one value (correlations gives angle 0.0 there,
     and _PairTable.flat_settings index 0).  d holds no None, since its axes
-    shape the pair table.  pair(*s, *t) is the pair function of settings s
-    and t.  symmetries has one entry per
+    shape the pair table.  vector(*s) gives what the pair function takes of
+    setting s, once per setting: its angle on the planar spaces, its unit
+    vector's components on vectors3d; pair(*vector(*s), *vector(*t)) is the
+    pair function of settings s and t.  symmetries has one entry per
     coordinate of a setting: symmetries[c](n) gives the (offset, sign) of each
     non-identity lattice index map i -> (offset + sign * i) mod n of that
     coordinate, on axes of n points, applied to coordinate c of all four
@@ -194,6 +202,7 @@ class ParameterSpace:
     bounds: tuple[tuple[float, float], ...]
     wrap: tuple[bool, ...]
     settings: tuple[tuple[int | None, ...], ...]
+    vector: Callable
     pair: Callable
     symmetries: tuple[Callable[[int], tuple[tuple[int, int], ...]], ...]
 
@@ -205,21 +214,24 @@ class ParameterSpace:
         """The ten profile fields the kernels take, at coordinates given as floats or arrays."""
         # the float 0.0 at the origin: np.cos and np.sin take an int through numpy's slower path
         settings = [[0.0 if j is None else coords[j] for j in s] for s in self.settings]
-        terms = pairwise(lambda s, t: self.pair(*s, *t), settings)
+        terms = pairwise(lambda s, t: self.pair(*s, *t), [self.vector(*s) for s in settings])
         return inequalities.epr_correlation_terms(*terms)
+
+
+def _angle(x):
+    return (x,)
 
 
 def _planar_dot(x, y):
     return np.cos(x - y)
 
 
-def _spherical_dot(theta_1, phi_1, theta_2, phi_2):
-    def components(theta, phi):
-        s = np.sin(theta)
-        return s * np.cos(phi), s * np.sin(phi), np.cos(theta)
+def _spherical_vector(theta, phi):
+    s = np.sin(theta)
+    return s * np.cos(phi), s * np.sin(phi), np.cos(theta)
 
-    x_1, y_1, z_1 = components(theta_1, phi_1)
-    x_2, y_2, z_2 = components(theta_2, phi_2)
+
+def _dot(x_1, y_1, z_1, x_2, y_2, z_2):
     return x_1 * x_2 + y_1 * y_2 + z_1 * z_2
 
 
@@ -233,10 +245,11 @@ _ROTATIONS = (lambda n: tuple((s, 1) for s in range(1, n)),)
 
 SPACES = {
     "planar_epr": ParameterSpace(
-        "epr", (_AZIMUTH,) * 4, (True,) * 4, _PLANAR_SETTINGS, _planar_dot, _ROTATIONS
+        "epr", (_AZIMUTH,) * 4, (True,) * 4, _PLANAR_SETTINGS, _angle, _planar_dot, _ROTATIONS
     ),
     "ghz_angles": ParameterSpace(
-        "ghz", (_POLAR,) * 4, (True,) * 4, _PLANAR_SETTINGS, inequalities._ghz_pair, _ROTATIONS
+        "ghz", (_POLAR,) * 4, (True,) * 4, _PLANAR_SETTINGS, _angle, inequalities._ghz_pair,
+        _ROTATIONS,
     ),
     "vectors3d": ParameterSpace(
         "epr",
@@ -244,7 +257,8 @@ SPACES = {
         (False, False, True, False, True, False, True),
         # vector a lies in the x-z plane, at the first azimuth of the lattice
         ((0, None), (1, 2), (3, 4), (5, 6)),
-        _spherical_dot,
+        _spherical_vector,
+        _dot,
         (
             lambda n: ((n - 1, -1),),  # z -> -z: theta -> pi - theta
             lambda n: ((0, -1),),  # y -> -y: phi -> -phi
@@ -298,16 +312,19 @@ class _PairTable:
 
     Every setting ranges over the axes of d, whose lengths are shape; its flat
     index ravels its lattice indices over shape, one of S = prod(shape).
-    values[s * S + t] is space.pair(*s, *t) for flat settings s and t, from one
-    pair-function call on the open mesh of d's axes; sizes are the lattice's
-    axis lengths.
+    values[s * S + t] is the pair function of flat settings s and t, from one
+    space.vector call on the open mesh of d's axes and one space.pair call on
+    the S x S open mesh of its result; sizes are the lattice's axis lengths.
     """
 
     def __init__(self, space: ParameterSpace, axes):
         self.settings = space.settings
         last = [axes[j] for j in space.settings[-1]]
-        self.values = space.pair(*np.ix_(*last, *last)).reshape(-1)
         self.shape = tuple(len(axis) for axis in last)
+        # each component at every flat setting, a column for s and a row for t
+        vector = space.vector(*np.ix_(*last))
+        vector = [np.broadcast_to(v, self.shape).reshape(-1, 1) for v in vector]
+        self.values = space.pair(*vector, *(v.T for v in vector)).reshape(-1)
         self.sizes = tuple(len(axis) for axis in axes)
         # the leading axes that hold every coordinate of a and b: their heads fix E(A,B)
         self.heads = 1 + max(j for s in space.settings[:2] for j in s if j is not None)
@@ -477,8 +494,8 @@ def _fold_images(kernel, table, rows, box, kept, slice_size, best):
     """best, folded with every map's image of the kept (box positions, margins) pairs.
 
     kept is emptied first, so only its points' concatenation stays alive.  The
-    points go in slices of slice_size, and a slice's images to the kernel in
-    batches of whole maps, as many as fit in the table's size (or one map).
+    points go in slices of slice_size, each imaged by _tabled_images where it
+    holds at least the table's entries and by _gathered_images elsewhere.
     Raises _PremiseFailure when an image's margin differs from its kept
     point's by more than delta / 8.
     """
@@ -489,14 +506,9 @@ def _fold_images(kernel, table, rows, box, kept, slice_size, best):
         points, point_margins = positions[here], margins[here]
         # the box starts at index 0 on every axis, so a box index is a lattice index
         settings = table.flat_settings(np.unravel_index(points, box))
-        batch = max(1, table.values.size // points.size)
-        for start in range(0, len(rows), batch):
-            moved = rows[start : start + batch]
-            # each map's images of the slice, flat for the kernel
-            lhs, rhs = kernel(
-                *table.correlations([moved.take(s, axis=1).ravel() for s in settings])
-            )
-            images = (lhs - rhs).reshape(len(moved), points.size)  # row g: map start + g's margins
+        route = _tabled_images if points.size >= table.values.size else _gathered_images
+        for moved, (lhs, rhs) in route(kernel, table, rows, settings):
+            images = (lhs - rhs).reshape(len(moved), points.size)  # row g: map moved[g]'s margins
             if not np.abs(images - point_margins).max() <= _SHIFT_DELTA / 8.0:
                 raise _PremiseFailure  # the tripwire
             top = float(images.max())
@@ -505,6 +517,39 @@ def _fold_images(kernel, table, rows, box, kept, slice_size, best):
                 index = table.lattice_index(tuple(moved[maps, s[ties]] for s in settings))
                 best = max(best, (top, -int(index.min())))
     return best
+
+
+def _gathered_images(kernel, table, rows, settings):
+    """(maps, kernel output) of each batch of images of points at four flat settings.
+
+    A batch is whole maps, as many as fit in the table's size (or one map):
+    each image's settings are 1-d takes from its map's row, and its six pair
+    values the table's flat gather at them.
+    """
+    batch = max(1, table.values.size // settings[0].size)
+    for start in range(0, len(rows), batch):
+        moved = rows[start : start + batch]
+        yield moved, kernel(*table.correlations([moved.take(s, axis=1).ravel() for s in settings]))
+
+
+def _tabled_images(kernel, table, rows, settings):
+    """(maps, kernel output) of the images of points at four flat settings, one map at a time.
+
+    Map g's table holds entry g(s), g(t) of the pair table at s * S + t, a
+    copy of its bits, so an image's pair values are takes from it at the
+    points' own six pair indices, computed once; the four cross pairs read
+    its negation, which is exact.  Each table is built for its map and
+    dropped after it: its S * S entries pay off only over as many points.
+    """
+    count = math.prod(table.shape)
+    square = table.values.reshape(count, count)
+    ab, ac, ad, bc, bd, cd = pairwise(lambda s, t: s * count + t, settings)
+    for g, row in enumerate(rows):
+        plus = square.take(row, axis=0).take(row, axis=1).reshape(-1)
+        minus = -plus
+        # epr_correlation_terms, its negations read from minus
+        terms = minus.take(ac), minus.take(ad), minus.take(bc), minus.take(bd)
+        yield rows[g : g + 1], kernel(*terms, plus.take(ab), plus.take(cd), 1.0, 1.0, 1.0, 1.0)
 
 
 def _axis_count(lo: float, hi: float, wrapped: bool, resolution: float) -> tuple[int, bool]:

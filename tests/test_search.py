@@ -334,6 +334,39 @@ def test_rotation_quotient_evaluates_only_the_kept_orbits(monkeypatch, kernel_po
     assert kernel_points[:-1] == [7, 5] * (6 * 12) + [28 * 5, 28 * 5, 28]
 
 
+def test_a_slice_reads_map_tables_only_where_its_images_outnumber_their_entries(monkeypatch):
+    # a slice of at least the S * S entries of the pair table takes each map's
+    # images from the map's permuted table, a smaller one by the row gather
+    slices = []
+
+    def recording(route, name):
+        def recorded(kernel, table, rows, settings):
+            slices.append((name, settings[0].size))
+            yield from route(kernel, table, rows, settings)
+
+        return recorded
+
+    monkeypatch.setattr(search, "_tabled_images", recording(search._tabled_images, "table"))
+    monkeypatch.setattr(search, "_gathered_images", recording(search._gathered_images, "gather"))
+
+    def routes(inequality_id, kind, degrees):
+        slices.clear()
+        grid_search(inequality_id, SPACES[kind], math.radians(degrees))
+        return slices[:]
+
+    # K = 15 338 kept points against 72 * 72 entries: one slice, by table
+    assert routes("general", "planar_epr", 5) == [("table", 15338)]
+    assert routes("ghz_general", "ghz_angles", 2.5) == [("table", 15338)]
+    # K = 3 782 against 36 * 36 entries, below BLOCK_SIZE / 16 points: by table
+    assert routes("general", "planar_epr", 10) == [("table", 3782)]
+    # K = 4 616 against 144 * 144 entries: by gather
+    assert routes("dispersion_free", "vectors3d", 22.5) == [("gather", 4616)]
+    # K = 61 778 in slices cut at block ends, each at most 144 * 144 points
+    assert routes("general", "planar_epr", 2.5) == [
+        ("table", 20736), ("gather", 3158), ("table", 20736), ("gather", 3372), ("gather", 13776)
+    ]
+
+
 @pytest.mark.parametrize(
     "kind, degrees, scale", [("planar_epr", 5, 1.0), ("ghz_angles", 2.5, 2.0), ("vectors3d", 22.5, 1.0)]
 )
@@ -481,8 +514,9 @@ def _axis_maps(kind, sizes):
 )
 def test_the_map_rows_gather_the_images_correlations_bit_for_bit(kind, degrees):
     # the kept-orbit pass reads an image's pair values through the map rows of
-    # _orbits; they must be the entries table.correlations reads at the image's
-    # lattice indices (offset + sign * i) % n, for every map
+    # _orbits, by the row gather or from the map's permuted table and its
+    # negation; either must give the entries table.correlations reads at the
+    # image's lattice indices (offset + sign * i) % n, for every map
     space = SPACES[kind]
     resolution = math.radians(degrees)
     intervals = zip(space.bounds, space.wrap)
@@ -499,12 +533,23 @@ def test_the_map_rows_gather_the_images_correlations_bit_for_bit(kind, degrees):
     # a tied image's lattice index is read back from its flat settings
     indices = np.ravel_multi_index(tuple(points.T), sizes)
     assert np.array_equal(table.lattice_index(settings), indices)
+
+    def by_map(route):
+        """Entry g: the six pair fields route reads for map g's images of the points."""
+        fields = []
+        # a kernel that returns its terms, a batch's maps one after another
+        for moved, terms in route(lambda *terms: terms, table, rows, settings):
+            fields += zip(*(np.reshape(field, (len(moved), -1)) for field in terms[:6]))
+        return fields
+
+    routes = {"gather": by_map(search._gathered_images), "table": by_map(search._tabled_images)}
     for g, (offset, sign) in enumerate(maps):
         image = (offset + sign * points) % np.array(sizes)
         expected = table.correlations(table.flat_settings(tuple(image.T)))
-        got = table.correlations(tuple(rows[g].take(s) for s in settings))
-        for field, (value, want) in enumerate(zip(got[:6], expected[:6])):
-            assert np.array_equal(value.view(np.int64), want.view(np.int64)), (g, field)
+        for name, fields in routes.items():
+            assert len(fields) == len(maps)
+            for field, (value, want) in enumerate(zip(fields[g], expected[:6])):
+                assert np.array_equal(value.view(np.int64), want.view(np.int64)), (name, g, field)
 
 
 @pytest.mark.parametrize("kind", SPACE_KINDS)

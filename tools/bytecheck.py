@@ -75,7 +75,10 @@ EDGE_ARGV = (
     ("search", "--inequality", "general", "--space", "vectors3d", "--resolution", "30"),
     # the general bound's kept-orbit pass on planar-epr: K = 61 778 kept points at
     # 2.5 degrees, imaged in 5 slices of at most the table's 144 * 144 entries,
-    # some during the box, and K = 3 782 at 10, imaged after the box in one
+    # some during the box: the two of 20 736 points through per-map permuted
+    # tables, the three of 3 158, 3 372 and 13 776 by the row gather; and
+    # K = 3 782 at 10, imaged after the box in one slice through the tables,
+    # as it outnumbers their 36 * 36 entries
     ("search", "--inequality", "general", "--space", "planar-epr", "--resolution", "2.5"),
     ("search", "--inequality", "general", "--space", "planar-epr", "--resolution", "10"),
     # the smallest pair tables (P = N = 2 on vectors3d, N = 2 on ghz-angles), and
